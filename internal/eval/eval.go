@@ -31,6 +31,7 @@ import (
 	"context"
 	"fmt"
 
+	"github.com/gables-model/gables/internal/jsonenc"
 	"github.com/gables-model/gables/internal/kernel"
 	"github.com/gables-model/gables/internal/sim"
 	"github.com/gables-model/gables/internal/units"
@@ -177,6 +178,82 @@ type Confidence struct {
 	Bucket string `json:"bucket"`
 	// Efficiency is the calibrated sim/analytic correction applied.
 	Efficiency float64 `json:"efficiency"`
+}
+
+// AppendJSON writes o as encoding/json writes it — every field in
+// declaration order under its tag, omitempty fields left out when zero —
+// so the serving layer can encode responses without reflection. Keep it in
+// step with the struct tags above; web's shape-lock test fails otherwise.
+func (o *Outcome) AppendJSON(w *jsonenc.Writer) {
+	if o == nil {
+		w.Null()
+		return
+	}
+	w.BeginObject()
+	w.Key("backend")
+	w.String(o.Backend)
+	w.Key("fidelity")
+	w.String(string(o.Fidelity))
+	w.Key("attainable")
+	w.Float(o.Attainable)
+	w.Key("makespan")
+	w.Float(o.Makespan)
+	w.Key("total_flops")
+	w.Float(o.TotalFlops)
+	w.Key("bottleneck")
+	w.BeginObject()
+	w.Key("kind")
+	w.String(o.Bottleneck.Kind)
+	w.Key("name")
+	w.String(o.Bottleneck.Name)
+	w.EndObject()
+	if o.TieRatio != 0 {
+		w.Key("tie_ratio")
+		w.Float(o.TieRatio)
+	}
+	if o.DRAMUtilization != 0 {
+		w.Key("dram_utilization")
+		w.Float(o.DRAMUtilization)
+	}
+	if c := o.Confidence; c != nil {
+		w.Key("confidence")
+		w.BeginObject()
+		w.Key("rel_err_bound")
+		w.Float(c.RelErrBound)
+		w.Key("lo")
+		w.Float(c.Lo)
+		w.Key("hi")
+		w.Float(c.Hi)
+		w.Key("bucket")
+		w.String(c.Bucket)
+		w.Key("efficiency")
+		w.Float(c.Efficiency)
+		w.EndObject()
+	}
+	w.Key("ips")
+	if o.IPs == nil {
+		w.Null()
+	} else {
+		w.BeginArray()
+		for i := range o.IPs {
+			ip := &o.IPs[i]
+			w.Element()
+			w.BeginObject()
+			w.Key("ip")
+			w.String(ip.IP)
+			w.Key("flops")
+			w.Float(ip.Flops)
+			w.Key("bytes")
+			w.Float(ip.Bytes)
+			w.Key("time")
+			w.Float(ip.Time)
+			w.Key("rate")
+			w.Float(ip.Rate)
+			w.EndObject()
+		}
+		w.EndArray()
+	}
+	w.EndObject()
 }
 
 // Clone returns a deep copy; cache-resident outcomes stay immutable.

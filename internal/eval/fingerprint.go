@@ -33,20 +33,20 @@ func Fingerprint(q Query) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	h := sha256.New()
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], FingerprintVersion)
-	h.Write(buf[:])
+	// One buffer, hashed once: version, the serialized flag as one byte,
+	// then the length-prefixed inner run fingerprint.
+	var stack [128]byte
+	b := binary.LittleEndian.AppendUint64(stack[:0], FingerprintVersion)
 	if q.Serialized {
-		h.Write([]byte{1})
+		b = append(b, 1)
 	} else {
-		h.Write([]byte{0})
+		b = append(b, 0)
 	}
 	inner := sim.Fingerprint(q.Chip, as, opt)
-	binary.LittleEndian.PutUint64(buf[:], uint64(len(inner)))
-	h.Write(buf[:])
-	h.Write([]byte(inner))
-	return hex.EncodeToString(h.Sum(nil)), nil
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(inner)))
+	b = append(b, inner...)
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:]), nil
 }
 
 // Key builds a content-addressed cache key under the eval namespace: the

@@ -40,7 +40,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"hash"
 	"math"
 
 	"github.com/gables-model/gables/internal/kernel"
@@ -68,59 +67,63 @@ const FingerprintVersion = 1
 //
 //fp:encoder
 func Fingerprint(cfg Config, assignments []Assignment, opt RunOptions) string {
-	w := fpWriter{h: sha256.New()}
-	w.uint64(FingerprintVersion)
+	// The canonical stream is built in one buffer (the presets' streams
+	// fit the stack array) and hashed in one call.
+	var stack [1024]byte
+	b := fpBuf(stack[:0])
+	b = b.uint64(FingerprintVersion)
 
 	// Config, declaration order.
-	w.str(cfg.Name)
-	w.f64(cfg.DRAMBandwidth)
-	w.uint64(uint64(len(cfg.Fabrics)))
+	b = b.str(cfg.Name)
+	b = b.f64(cfg.DRAMBandwidth)
+	b = b.uint64(uint64(len(cfg.Fabrics)))
 	for _, f := range cfg.Fabrics {
-		w.str(f.Name)
-		w.f64(f.Bandwidth)
-		w.str(f.Parent)
+		b = b.str(f.Name)
+		b = b.f64(f.Bandwidth)
+		b = b.str(f.Parent)
 	}
-	w.uint64(uint64(len(cfg.IPs)))
+	b = b.uint64(uint64(len(cfg.IPs)))
 	for _, spec := range cfg.IPs {
-		w.str(spec.Name)
-		w.f64(spec.ComputeRate)
-		w.f64(spec.LinkBandwidth)
-		w.f64(spec.WritePenalty)
-		w.f64(spec.CacheSize)
-		w.f64(spec.CacheBandwidth)
-		w.f64(spec.ChunkBytes)
-		w.uint64(uint64(spec.MaxInflight))
-		w.f64(spec.CoordinationOpsPerByte)
-		w.f64(spec.MemoryLatency)
-		w.str(spec.Fabric)
+		b = b.str(spec.Name)
+		b = b.f64(spec.ComputeRate)
+		b = b.f64(spec.LinkBandwidth)
+		b = b.f64(spec.WritePenalty)
+		b = b.f64(spec.CacheSize)
+		b = b.f64(spec.CacheBandwidth)
+		b = b.f64(spec.ChunkBytes)
+		b = b.uint64(uint64(spec.MaxInflight))
+		b = b.f64(spec.CoordinationOpsPerByte)
+		b = b.f64(spec.MemoryLatency)
+		b = b.str(spec.Fabric)
 	}
-	w.str(cfg.Host)
-	w.thermal(cfg.Thermal)
+	b = b.str(cfg.Host)
+	b = b.thermal(cfg.Thermal)
 
 	// Assignments, in order: order is semantically meaningful (results
 	// come back assignment-ordered and ties in the engine break by
 	// schedule order).
-	w.uint64(uint64(len(assignments)))
+	b = b.uint64(uint64(len(assignments)))
 	for _, a := range assignments {
-		w.str(a.IP)
+		b = b.str(a.IP)
 		// Kernel.Name is a display label only; excluded by design.
-		w.f64(float64(a.Kernel.WorkingSet))
-		w.uint64(uint64(a.Kernel.Trials))
-		w.uint64(uint64(a.Kernel.FlopsPerWord))
-		w.uint64(uint64(a.Kernel.Pattern))
+		b = b.f64(float64(a.Kernel.WorkingSet))
+		b = b.uint64(uint64(a.Kernel.Trials))
+		b = b.uint64(uint64(a.Kernel.FlopsPerWord))
+		b = b.uint64(uint64(a.Kernel.Pattern))
 	}
 
 	// Options. Probe is excluded by design (observe-only, no effect on
 	// the result — see the package comment).
-	w.bool(opt.Coordination)
-	w.bool(opt.Thermal)
+	b = b.bool(opt.Coordination)
+	b = b.bool(opt.Thermal)
 	maxEvents := opt.MaxEvents
 	if maxEvents == 0 {
 		maxEvents = DefaultMaxEvents
 	}
-	w.uint64(uint64(maxEvents))
+	b = b.uint64(uint64(maxEvents))
 
-	return hex.EncodeToString(w.h.Sum(nil))
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }
 
 // FingerprintAssignment is a convenience for the common single-assignment
@@ -129,46 +132,35 @@ func FingerprintAssignment(cfg Config, ip string, k kernel.Kernel, opt RunOption
 	return Fingerprint(cfg, []Assignment{{IP: ip, Kernel: k}}, opt)
 }
 
-// fpWriter streams canonical primitives into the hash. Hash writes never
-// fail, so the helpers are error-free.
-type fpWriter struct {
-	h   hash.Hash
-	buf [8]byte
-}
+// fpBuf is the canonical stream being built; each helper appends one
+// primitive and returns the grown buffer.
+type fpBuf []byte
 
-func (w *fpWriter) uint64(v uint64) {
-	binary.LittleEndian.PutUint64(w.buf[:], v)
-	w.h.Write(w.buf[:])
-}
+func (b fpBuf) uint64(v uint64) fpBuf { return binary.LittleEndian.AppendUint64(b, v) }
 
-func (w *fpWriter) f64(v float64) { w.uint64(math.Float64bits(v)) }
+func (b fpBuf) f64(v float64) fpBuf { return b.uint64(math.Float64bits(v)) }
 
-func (w *fpWriter) bool(v bool) {
+func (b fpBuf) bool(v bool) fpBuf {
 	if v {
-		w.uint64(1)
-	} else {
-		w.uint64(0)
+		return b.uint64(1)
 	}
+	return b.uint64(0)
 }
 
-func (w *fpWriter) str(s string) {
-	w.uint64(uint64(len(s)))
-	w.h.Write([]byte(s))
-}
+func (b fpBuf) str(s string) fpBuf { return append(b.uint64(uint64(len(s))), s...) }
 
-func (w *fpWriter) thermal(c *thermal.Config) {
+func (b fpBuf) thermal(c *thermal.Config) fpBuf {
 	if c == nil {
-		w.bool(false)
-		return
+		return b.bool(false)
 	}
-	w.bool(true)
-	w.f64(c.Ambient)
-	w.f64(c.Resistance)
-	w.f64(c.Capacitance)
-	w.f64(c.IdlePower)
-	w.f64(c.EnergyPerOp)
-	w.f64(c.ThrottleAt)
-	w.f64(c.ResumeAt)
-	w.f64(c.ThrottleScale)
-	w.f64(c.Interval)
+	b = b.bool(true)
+	b = b.f64(c.Ambient)
+	b = b.f64(c.Resistance)
+	b = b.f64(c.Capacitance)
+	b = b.f64(c.IdlePower)
+	b = b.f64(c.EnergyPerOp)
+	b = b.f64(c.ThrottleAt)
+	b = b.f64(c.ResumeAt)
+	b = b.f64(c.ThrottleScale)
+	return b.f64(c.Interval)
 }

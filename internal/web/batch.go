@@ -1,7 +1,6 @@
 package web
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -9,6 +8,7 @@ import (
 	"strings"
 
 	"github.com/gables-model/gables/internal/eval"
+	"github.com/gables-model/gables/internal/jsonenc"
 	"github.com/gables-model/gables/internal/parallel"
 )
 
@@ -140,15 +140,7 @@ func (s *server) batchHandler(w http.ResponseWriter, r *http.Request) {
 	}
 	results := make([]batchItemResult, len(req.Items))
 	s.evaluateBatch(r.Context(), req, results, nil)
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(batchResponse{Items: results}); err != nil {
-		evalError(w, http.StatusInternalServerError, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(buf.Bytes())
+	writeJSON(w, &batchResponse{Items: results})
 }
 
 // streamBatch answers the NDJSON shape: evaluation runs concurrently with
@@ -175,11 +167,18 @@ func (s *server) streamBatch(w http.ResponseWriter, r *http.Request, req batchRe
 
 	w.Header().Set("Content-Type", ndjsonContentType)
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
+	var line jsonenc.Writer // one buffer, reused line after line
 	for i := 0; i < n; i++ {
 		<-ready[i] // evaluateBatch finalizes every item, canceled or not
-		if err := enc.Encode(&results[i]); err != nil {
-			cancel() // mid-stream failure: the line boundary marks the cut
+		line.Reset(false)
+		results[i].appendJSON(&line)
+		line.End()
+		if line.Err() != nil {
+			cancel() // unencodable item: the stream ends at the last whole line
+			break
+		}
+		if _, err := w.Write(line.Bytes()); err != nil {
+			cancel() // client gone: the line boundary marks the cut
 			break
 		}
 		if flusher != nil {

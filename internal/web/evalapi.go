@@ -1,7 +1,6 @@
 package web
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -69,19 +68,7 @@ func (s *server) evalHandler(w http.ResponseWriter, r *http.Request) {
 		evalError(w, http.StatusInternalServerError, err)
 		return
 	}
-	// Encode into a buffer first: an encoding failure after the first
-	// body byte would otherwise truncate a committed 200 response.
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(evalResponse{
-		Chip: q.Chip.Name, Backend: o.Backend, Fingerprint: fp, Outcome: o,
-	}); err != nil {
-		evalError(w, http.StatusInternalServerError, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(buf.Bytes())
+	writeJSON(w, &evalResponse{Chip: q.Chip.Name, Backend: o.Backend, Fingerprint: fp, Outcome: o})
 }
 
 // resolveBackend maps a request's backend name to an evaluator: the
