@@ -86,42 +86,86 @@ func (a *Analytic) EvaluateBatch(ctx context.Context, qs []Query, out []Outcome)
 		}
 	}
 	arena := make([]IPOutcome, actives)
-	cursor := 0
 
 	if a.model != nil {
 		return a.batchInjected(qs, out, arena)
 	}
 
-	// Configured mode derives the model from the chip, so the batch is
-	// processed in maximal runs of queries whose derivation inputs are
-	// identical (same chip value, same per-IP access patterns); a grid
-	// built from one sim.Config is a single run. Queries that break the
-	// run just re-derive — correctness never depends on the grouping.
+	// Configured mode derives the model from the chip. The slab is walked
+	// in derivation order (derivationOrder), so each run below is every
+	// query of one derivation: a slab over k chips derives k models
+	// however its queries are interleaved. Each outcome lands in its
+	// query's own slot; correctness never depends on the grouping, since
+	// a query that lands in the wrong run just re-derives.
+	order := derivationOrder(qs)
+	cursor := 0
 	lo := 0
-	for lo < len(qs) {
+	for lo < len(order) {
 		hi := lo + 1
-		for hi < len(qs) && sameDerivation(&qs[lo], &qs[hi]) {
+		for hi < len(order) && sameDerivation(&qs[order[lo]], &qs[order[hi]]) {
 			hi++
 		}
-		model, _, names, err := a.derive(qs[lo])
+		run := order[lo:hi]
+		model, _, names, err := a.derive(qs[run[0]])
 		if err != nil {
-			return fmt.Errorf("eval: batch query %d: %w", lo, err)
+			return fmt.Errorf("eval: batch query %d: %w", run[0], err)
 		}
 		be, err := model.Batch()
 		if err != nil {
-			return fmt.Errorf("eval: batch query %d: %w", lo, err)
+			return fmt.Errorf("eval: batch query %d: %w", run[0], err)
 		}
 		nIP := be.IPs()
-		cs := core.NewCells(nIP, hi-lo)
-		res := core.NewCellResults(nIP, hi-lo)
-		fillConfigured(qs, lo, hi, cs)
-		if bad, ok := evalCells(qs, lo, hi, be, cs, res); !ok {
+		cs := core.NewCells(nIP, len(run))
+		res := core.NewCellResults(nIP, len(run))
+		fillConfigured(qs, run, cs)
+		if bad, ok := evalCells(qs, run, be, cs, res); !ok {
 			return fmt.Errorf("eval: batch query %d: invalid derived work vector", bad)
 		}
-		cursor = emitOutcomes(qs, lo, hi, names, cs, res, arena, cursor, out)
+		cursor = emitOutcomes(qs, run, names, cs, res, arena, cursor, out)
 		lo = hi
 	}
 	return nil
+}
+
+// maxDerivationGroups bounds the derivations derivationOrder tracks, so
+// its scan stays linear in the slab: serving slabs hold one derivation
+// per chip preset (three), and sweep grids one or two per chip.
+const maxDerivationGroups = 8
+
+// derivationOrder returns the order in which to answer qs: a stable
+// permutation of its indices that makes queries sharing a derivation
+// (sameDerivation) contiguous, groups in first-appearance order. Only the
+// first maxDerivationGroups derivations get groups; queries of any later
+// derivation keep their original relative order after all groups, so
+// adjacent ones still share a run. A slab of many distinct derivations
+// therefore derives no more often than it would in its own order.
+func derivationOrder(qs []Query) []int {
+	var reps [maxDerivationGroups]int // first query of each group
+	var sizes [maxDerivationGroups + 1]int
+	groups := 0
+	group := make([]uint8, len(qs))
+	for i := range qs {
+		g := 0
+		for g < groups && !sameDerivation(&qs[reps[g]], &qs[i]) {
+			g++
+		}
+		if g == groups && groups < maxDerivationGroups {
+			reps[groups] = i
+			groups++
+		}
+		group[i] = uint8(g)
+		sizes[g]++
+	}
+	var next [maxDerivationGroups + 1]int // first free position of each group
+	for g := 1; g < len(next); g++ {
+		next[g] = next[g-1] + sizes[g-1]
+	}
+	order := make([]int, len(qs))
+	for i, g := range group {
+		order[next[g]] = i
+		next[g]++
+	}
+	return order
 }
 
 // batchInjected evaluates the slab on the injected calibrated model.
@@ -136,10 +180,14 @@ func (a *Analytic) batchInjected(qs []Query, out []Outcome, arena []IPOutcome) e
 	if bad, ok := a.fillInjected(qs, cs); !ok {
 		return fmt.Errorf("eval: batch query %d: analytic model has no IP %q", bad, unknownModelIP(a.ipNames, qs[bad]))
 	}
-	if bad, ok := evalCells(qs, 0, len(qs), be, cs, res); !ok {
+	all := make([]int, len(qs))
+	for i := range all {
+		all[i] = i
+	}
+	if bad, ok := evalCells(qs, all, be, cs, res); !ok {
 		return fmt.Errorf("eval: batch query %d: invalid derived work vector", bad)
 	}
-	emitOutcomes(qs, 0, len(qs), a.ipNames, cs, res, arena, 0, out)
+	emitOutcomes(qs, all, a.ipNames, cs, res, arena, 0, out)
 	return nil
 }
 
@@ -191,13 +239,13 @@ func sameDerivation(a, b *Query) bool {
 }
 
 // fillConfigured fills one derivation run's work cells in chip IP order,
-// replicating derive's fraction/intensity arithmetic exactly.
+// replicating derive's fraction/intensity arithmetic exactly; cell c is
+// query run[c].
 //
 //gables:allocfree
-func fillConfigured(qs []Query, lo, hi int, cs *core.Cells) {
+func fillConfigured(qs []Query, run []int, cs *core.Cells) {
 	nIP := cs.IPs
-	for qi := lo; qi < hi; qi++ {
-		c := qi - lo
+	for c, qi := range run {
 		total := qs[qi].TotalFlops()
 		trials := float64(qs[qi].trials())
 		for i := 0; i < nIP; i++ {
@@ -247,29 +295,30 @@ func (a *Analytic) fillInjected(qs []Query, cs *core.Cells) (int, bool) {
 	return 0, true
 }
 
-// evalCells runs the core kernel over one slab, honoring each query's
-// serialized flag; it returns the first invalid query index and false.
+// evalCells runs the core kernel over one run of queries (cell c is
+// query run[c]), honoring each query's serialized flag; it returns the
+// first invalid query index and false.
 //
 //gables:allocfree
-func evalCells(qs []Query, lo, hi int, be *core.BatchEval, cs *core.Cells, res *core.CellResults) (int, bool) {
-	for qi := lo; qi < hi; qi++ {
-		if !be.EvaluateCell(cs, qi-lo, qs[qi].Serialized, res) {
+func evalCells(qs []Query, run []int, be *core.BatchEval, cs *core.Cells, res *core.CellResults) (int, bool) {
+	for c, qi := range run {
+		if !be.EvaluateCell(cs, c, qs[qi].Serialized, res) {
 			return qi, false
 		}
 	}
 	return 0, true
 }
 
-// emitOutcomes converts one slab's cell results into Outcomes, writing
-// per-IP detail into the shared arena. It replicates Analytic.evaluate's
-// outcome construction term for term, so batch outcomes are bitwise
-// identical to point outcomes. Returns the advanced arena cursor.
+// emitOutcomes converts one run's cell results into Outcomes, writing
+// query run[c]'s answer to out[run[c]] and its per-IP detail into the
+// shared arena. It replicates Analytic.evaluate's outcome construction
+// term for term, so batch outcomes are bitwise identical to point
+// outcomes. Returns the advanced arena cursor.
 //
 //gables:allocfree
-func emitOutcomes(qs []Query, lo, hi int, names []string, cs *core.Cells, res *core.CellResults, arena []IPOutcome, cursor int, out []Outcome) int {
+func emitOutcomes(qs []Query, run []int, names []string, cs *core.Cells, res *core.CellResults, arena []IPOutcome, cursor int, out []Outcome) int {
 	nIP := res.IPs
-	for qi := lo; qi < hi; qi++ {
-		c := qi - lo
+	for c, qi := range run {
 		total := qs[qi].TotalFlops()
 		o := &out[qi]
 		o.Backend = "analytic"

@@ -3,6 +3,7 @@ package eval
 import (
 	"context"
 	"math"
+	"math/rand"
 	"testing"
 
 	"github.com/gables-model/gables/internal/core"
@@ -213,5 +214,158 @@ func TestAnalyticBatchAllocsConstant(t *testing.T) {
 	}
 	if small > 64 {
 		t.Errorf("batch setup allocates %v times, want a small constant", small)
+	}
+}
+
+// mixedChipSlab builds n queries shuffled across the three chip presets,
+// with mixed serialized flags — the shape of a serving /eval/batch slab.
+// Queries for one chip share one Config backing; with fresh set, every
+// query gets a preset of its own instead, so no two share a derivation.
+func mixedChipSlab(tb testing.TB, n int, fresh bool) []Query {
+	tb.Helper()
+	presets := []func() sim.Config{sim.Snapdragon835, sim.Snapdragon821, sim.Snapdragon835Extended}
+	shared := make([]sim.Config, len(presets))
+	for c, preset := range presets {
+		shared[c] = preset()
+	}
+	rng := rand.New(rand.NewSource(20))
+	qs := make([]Query, n)
+	for i := range qs {
+		c := rng.Intn(len(presets))
+		cfg := shared[c]
+		if fresh {
+			cfg = presets[c]()
+		}
+		f := float64(1+rng.Intn(9)) / 10
+		fpw := []int{8, 32, 128, 512}[rng.Intn(4)]
+		work, err := SplitWork(cfg, 4<<20, fpw, kernel.ReadWrite, []Share{
+			{IP: "GPU", Fraction: f}, {IP: "CPU", Fraction: 1 - f},
+		})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		qs[i] = Query{Chip: cfg, Work: work, Trials: 2, Serialized: rng.Intn(3) == 0}
+	}
+	return qs
+}
+
+// derivationRuns counts the model derivations EvaluateBatch performs on
+// qs: the maximal sameDerivation runs of its derivation-order view.
+func derivationRuns(qs []Query) int {
+	order := derivationOrder(qs)
+	runs := 0
+	for k := range order {
+		if k == 0 || !sameDerivation(&qs[order[k-1]], &qs[order[k]]) {
+			runs++
+		}
+	}
+	return runs
+}
+
+// TestAnalyticBatchMixedChips pins derivation grouping on a shuffled
+// three-chip slab: every outcome, per-IP detail included, is bitwise the
+// point answer, and the slab derives one model per chip however its
+// queries interleave — so the batch's allocations do not grow with it.
+func TestAnalyticBatchMixedChips(t *testing.T) {
+	ctx := context.Background()
+	a := NewAnalytic()
+	qs := mixedChipSlab(t, 192, false)
+	out := make([]Outcome, len(qs))
+	if err := EvaluateBatch(ctx, a, qs, out); err != nil {
+		t.Fatal(err)
+	}
+	for i := range qs {
+		want, err := a.Evaluate(ctx, qs[i])
+		if err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+		outcomesBitEq(t, qs[i].Chip.Name, out[i], want)
+	}
+
+	if got := derivationRuns(qs); got != 3 {
+		t.Errorf("shuffled three-chip slab derives %d models, want 3", got)
+	}
+	measure := func(n int) float64 {
+		qs := mixedChipSlab(t, n, false)
+		out := make([]Outcome, n)
+		return testing.AllocsPerRun(10, func() {
+			if err := a.EvaluateBatch(ctx, qs, out); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, big := measure(48), measure(480); big > small {
+		t.Errorf("allocs grew with slab size: %v for 48 queries, %v for 480", small, big)
+	}
+}
+
+// TestDerivationOrderNeverAddsRuns pins the grouping's worst case: past
+// maxDerivationGroups distinct derivations, the permuted slab still needs
+// no more derivations than the slab in its original order.
+func TestDerivationOrderNeverAddsRuns(t *testing.T) {
+	originalRuns := func(qs []Query) int {
+		runs := 0
+		for k := range qs {
+			if k == 0 || !sameDerivation(&qs[k-1], &qs[k]) {
+				runs++
+			}
+		}
+		return runs
+	}
+	// 12 chips, each with its own backing, visited in blocks of two to
+	// five queries in a seeded order.
+	rng := rand.New(rand.NewSource(7))
+	chips := make([]sim.Config, 12)
+	for c := range chips {
+		chips[c] = sim.Snapdragon835()
+	}
+	var many []Query
+	for len(many) < 300 {
+		cfg := chips[rng.Intn(len(chips))]
+		work, err := SplitWork(cfg, 1<<20, 8, kernel.ReadWrite, []Share{{IP: "CPU", Fraction: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 2 + rng.Intn(4); k > 0; k-- {
+			many = append(many, Query{Chip: cfg, Work: work, Trials: 2})
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		qs   []Query
+	}{
+		{"fresh-presets", mixedChipSlab(t, 64, true)},
+		{"twelve-chips", many},
+	} {
+		if got, orig := derivationRuns(tc.qs), originalRuns(tc.qs); got > orig {
+			t.Errorf("%s: %d derivations in derivation order, %d in slab order", tc.name, got, orig)
+		}
+	}
+}
+
+// BenchmarkAnalyticBatchMixedChips answers one shuffled three-chip slab
+// two ways: grouped, with the queries for each chip sharing one preset
+// (the serving path's shape), and fresh-presets, with every query on a
+// preset of its own, which re-derives the model per query. The ratio of
+// the two ns/item figures is the grouping's speedup.
+func BenchmarkAnalyticBatchMixedChips(b *testing.B) {
+	const n = 256
+	for _, bc := range []struct {
+		name  string
+		fresh bool
+	}{{"grouped", false}, {"fresh-presets", true}} {
+		b.Run(bc.name, func(b *testing.B) {
+			a := NewAnalytic()
+			qs := mixedChipSlab(b, n, bc.fresh)
+			out := make([]Outcome, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := a.EvaluateBatch(context.Background(), qs, out); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/item")
+		})
 	}
 }

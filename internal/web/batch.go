@@ -15,16 +15,19 @@ import (
 // POST /eval/batch: the fleet-scale face of the /eval question. A client
 // submits an array of SoC+work queries and gets per-item outcomes — or
 // per-item errors; a malformed or unanswerable item never fails the
-// request (the transport succeeds, the item reports). Items naming the
-// same backend are evaluated together: through the backend's
-// EvaluateBatch fast path when it implements eval.BatchEvaluator (the
-// analytic backend answers a whole slab allocation-free), and through a
-// bounded parallel fan-out otherwise (sim items run concurrently up
-// to the worker bound, deduplicated by the simcache singleflight). The
-// fan-out is charged against the admission limiter: the request's own
-// slot covers one evaluation at a time, and each additional worker runs
-// only if it wins a free slot (admission.tryAcquire), so MaxInFlight
-// bounds real concurrency whatever the batch mix.
+// request (the transport succeeds, the item reports). Items whose backend
+// names resolve to the same evaluator form one group, whatever order they
+// arrive in. A group goes through the backend's EvaluateBatch fast path
+// when it implements eval.BatchEvaluator: every item is built on the
+// server's chip table, so all items for one chip share one sim.Config
+// backing and the analytic backend derives each chip's model once per
+// slab. Other groups take a bounded parallel fan-out (sim items run
+// concurrently up to the worker bound, deduplicated by the simcache
+// singleflight). The fan-out is charged against the admission limiter:
+// the request's own slot covers one evaluation at a time, and each
+// additional worker runs only if it wins a free slot
+// (admission.tryAcquire), so MaxInFlight bounds real concurrency whatever
+// the batch mix.
 //
 // With ?stream=1 or Accept: application/x-ndjson the response is NDJSON —
 // one result object per line, in item order, written and flushed as
@@ -194,12 +197,13 @@ func wantsNDJSON(r *http.Request) bool {
 		strings.Contains(r.Header.Get("Accept"), ndjsonContentType)
 }
 
-// evaluateBatch answers every item into results, grouping by backend so
-// batch-capable evaluators see whole slabs. note, when non-nil, is called
-// exactly once per item the moment results[i] is final (the streaming
-// writer's signal); every item is finalized — and noted — before return,
-// with items that never ran (cancellation) reporting the context error so
-// the exactly-one-of-Outcome-or-Error contract holds unconditionally.
+// evaluateBatch answers every item into results, grouping by resolved
+// evaluator so batch-capable evaluators see whole slabs. note, when
+// non-nil, is called exactly once per item the moment results[i] is final
+// (the streaming writer's signal); every item is finalized — and noted —
+// before return, with items that never ran (cancellation) reporting the
+// context error so the exactly-one-of-Outcome-or-Error contract holds
+// unconditionally.
 func (s *server) evaluateBatch(ctx context.Context, req batchRequest, results []batchItemResult, note func(i int)) {
 	if note == nil {
 		note = func(int) {}
@@ -207,13 +211,23 @@ func (s *server) evaluateBatch(ctx context.Context, req batchRequest, results []
 	n := len(req.Items)
 	queries := make([]eval.Query, n)
 
-	// Parse every item and bucket the parseable ones by backend name, in
-	// first-appearance order (deterministic grouping; results go back to
-	// their item index, so grouping never reorders the response).
-	groups := make(map[string][]int)
-	var names []string
+	// Parse every item and bucket the parseable ones by the evaluator
+	// their backend name resolves to, in first-appearance order
+	// (deterministic grouping; results go back to their item index, so
+	// grouping never reorders the response). Two spellings of one backend
+	// ("" for the default and its name) share a group, so they share a
+	// slab. A name that does not resolve gets a group of its own, whose
+	// items all report the resolution error.
+	type group struct {
+		ev   eval.Evaluator
+		err  error
+		idxs []int
+	}
+	var groups []*group
+	byName := make(map[string]*group)
+	byEval := make(map[eval.Evaluator]*group)
 	for i, it := range req.Items {
-		q, err := it.spec().buildQuery()
+		q, err := it.spec().buildQuery(s.chips)
 		if err != nil {
 			results[i] = batchItemResult{Chip: it.Chip, Error: err.Error()}
 			note(i)
@@ -224,23 +238,33 @@ func (s *server) evaluateBatch(ctx context.Context, req batchRequest, results []
 		if name == "" {
 			name = req.Backend
 		}
-		if _, seen := groups[name]; !seen {
-			names = append(names, name)
+		g := byName[name]
+		if g == nil {
+			ev, err := resolveBackend(name)
+			if err == nil {
+				g = byEval[ev]
+			}
+			if g == nil {
+				g = &group{ev: ev, err: err}
+				groups = append(groups, g)
+				if err == nil {
+					byEval[ev] = g
+				}
+			}
+			byName[name] = g
 		}
-		groups[name] = append(groups[name], i)
+		g.idxs = append(g.idxs, i)
 	}
 
-	for _, name := range names {
-		idxs := groups[name]
-		ev, err := resolveBackend(name)
-		if err != nil {
-			for _, i := range idxs {
-				results[i] = batchItemResult{Chip: req.Items[i].Chip, Error: err.Error()}
+	for _, g := range groups {
+		if g.err != nil {
+			for _, i := range g.idxs {
+				results[i] = batchItemResult{Chip: req.Items[i].Chip, Error: g.err.Error()}
 				note(i)
 			}
 			continue
 		}
-		s.evaluateGroup(ctx, ev, idxs, queries, results, note)
+		s.evaluateGroup(ctx, g.ev, g.idxs, queries, results, note)
 	}
 }
 

@@ -279,7 +279,7 @@ func TestBatchStreamIncremental(t *testing.T) {
 func TestBatchCanceledItems(t *testing.T) {
 	stub := &slowItemBackend{block: -1, gate: make(chan struct{})}
 	eval.Register("stub-cancel", func() (eval.Evaluator, error) { return stub, nil })
-	s := &server{opts: Options{}, adm: newAdmission(4, 4)}
+	s := newServer(Options{MaxInFlight: 4, QueueDepth: 4})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // canceled before any item can start
@@ -323,5 +323,79 @@ func TestBatchRequestErrors(t *testing.T) {
 		if resp.StatusCode != tc.want {
 			t.Errorf("%s: status = %d, want %d: %s", tc.name, resp.StatusCode, tc.want, body)
 		}
+	}
+}
+
+// slabCounter is a batch-capable stub that records the size of every slab
+// it is handed.
+type slabCounter struct {
+	mu    sync.Mutex
+	slabs []int
+}
+
+func (c *slabCounter) Meta() eval.Meta {
+	return eval.Meta{Name: "slab-counter", Fidelity: eval.FidelityAnalytic, Description: "slab-recording test stub"}
+}
+func (c *slabCounter) Supports(eval.Query) error { return nil }
+func (c *slabCounter) Evaluate(context.Context, eval.Query) (*eval.Outcome, error) {
+	return &eval.Outcome{Backend: "slab-counter", Attainable: 1, TotalFlops: 1}, nil
+}
+func (c *slabCounter) EvaluateBatch(_ context.Context, qs []eval.Query, out []eval.Outcome) error {
+	c.mu.Lock()
+	c.slabs = append(c.slabs, len(qs))
+	c.mu.Unlock()
+	for i := range out {
+		out[i] = eval.Outcome{Backend: "slab-counter", Attainable: 1, TotalFlops: 1}
+	}
+	return nil
+}
+
+// TestBatchGroupsByResolvedBackend pins that /eval/batch groups items by
+// the evaluator their backend name resolves to, not by its spelling: the
+// request-level default and two names of one backend, interleaved, reach
+// it as a single slab, while an unknown name still fails each of its
+// items with the registry's own error text.
+func TestBatchGroupsByResolvedBackend(t *testing.T) {
+	stub := &slabCounter{}
+	eval.Register("stub-slab-a", func() (eval.Evaluator, error) { return stub, nil })
+	eval.Register("stub-slab-b", func() (eval.Evaluator, error) { return stub, nil })
+	_, unknown := eval.Resolve("stub-slab-nope")
+	if unknown == nil {
+		t.Fatal("unknown backend resolved")
+	}
+	h := NewHandler(Options{})
+
+	rec := serve(h, http.MethodPost, "/eval/batch", `{"backend":"stub-slab-a","items":[
+		{"f":0.1}, {"backend":"stub-slab-b","f":0.2}, {"backend":"stub-slab-nope"},
+		{"backend":"stub-slab-a","chip":"snapdragon821"}, {"f":2}, {"backend":"stub-slab-b"},
+		{"backend":"stub-slab-nope","chip":"snapdragon835x"}]}`)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body)
+	}
+	var out batchResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Items) != 7 {
+		t.Fatalf("got %d items, want 7", len(out.Items))
+	}
+	for _, i := range []int{0, 1, 3, 5} {
+		if it := out.Items[i]; it.Outcome == nil || it.Backend != "slab-counter" {
+			t.Errorf("item %d = %+v, want a slab-counter outcome", i, it)
+		}
+	}
+	for _, i := range []int{2, 6} {
+		if it := out.Items[i]; it.Outcome != nil || it.Error != unknown.Error() {
+			t.Errorf("item %d error = %q, want %q", i, it.Error, unknown.Error())
+		}
+	}
+	if out.Items[6].Chip != "snapdragon835x" {
+		t.Errorf("unknown-backend item echoes chip %q", out.Items[6].Chip)
+	}
+	if it := out.Items[4]; it.Outcome != nil || !strings.Contains(it.Error, "fraction") {
+		t.Errorf("unparseable item = %+v", it)
+	}
+	if len(stub.slabs) != 1 || stub.slabs[0] != 4 {
+		t.Errorf("backend saw slabs %v, want one slab of 4", stub.slabs)
 	}
 }

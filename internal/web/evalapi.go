@@ -28,15 +28,35 @@ type evalResponse struct {
 	Outcome *eval.Outcome `json:"outcome"`
 }
 
-// evalChip resolves a preset name; the default is the calibrated 835.
-func evalChip(name string) (sim.Config, error) {
+// chipPresets is one server's chip table, resolved once by NewHandler and
+// never written afterwards. Every /eval and /eval/batch query for a chip
+// shares that chip's sim.Config backing, which is what lets the analytic
+// slab path (eval.(*Analytic).EvaluateBatch) derive each chip's model once
+// per slab instead of once per item. Sharing is only safe while nothing
+// mutates a Config; TestSharedPresetsNeverMutated pins that for every
+// backend.
+type chipPresets struct {
+	sd835, sd821, sd835x sim.Config
+}
+
+// newChipPresets resolves the three /eval chip presets.
+func newChipPresets() *chipPresets {
+	return &chipPresets{
+		sd835:  sim.Snapdragon835(),
+		sd821:  sim.Snapdragon821(),
+		sd835x: sim.Snapdragon835Extended(),
+	}
+}
+
+// chip resolves a preset name; the default is the calibrated 835.
+func (p *chipPresets) chip(name string) (sim.Config, error) {
 	switch name {
 	case "", "snapdragon835":
-		return sim.Snapdragon835(), nil
+		return p.sd835, nil
 	case "snapdragon821":
-		return sim.Snapdragon821(), nil
+		return p.sd821, nil
 	case "snapdragon835x":
-		return sim.Snapdragon835Extended(), nil
+		return p.sd835x, nil
 	}
 	return sim.Config{}, fmt.Errorf("unknown chip %q (have snapdragon835, snapdragon821, snapdragon835x)", name)
 }
@@ -48,7 +68,7 @@ func (s *server) evalHandler(w http.ResponseWriter, r *http.Request) {
 		evalError(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed on /eval (use GET; POST /eval/batch for arrays)", r.Method))
 		return
 	}
-	q, err := parseEvalQuery(r)
+	q, err := parseEvalQuery(r, s.chips)
 	if err != nil {
 		evalError(w, http.StatusBadRequest, err)
 		return
@@ -80,10 +100,11 @@ func resolveBackend(name string) (eval.Evaluator, error) {
 	return eval.Resolve(name)
 }
 
-// parseEvalQuery builds the eval.Query from the request's query string;
-// all numeric fields go through the shared validated parsers (parse.go),
-// so NaN/Inf and non-positive counts are rejected with the field named.
-func parseEvalQuery(r *http.Request) (eval.Query, error) {
+// parseEvalQuery builds the eval.Query from the request's query string on
+// the server's chip table; all numeric fields go through the shared
+// validated parsers (parse.go), so NaN/Inf and non-positive counts are
+// rejected with the field named.
+func parseEvalQuery(r *http.Request, chips *chipPresets) (eval.Query, error) {
 	form := r.URL.Query()
 	spec := defaultEvalSpec()
 	spec.Chip = form.Get("chip")
@@ -110,7 +131,7 @@ func parseEvalQuery(r *http.Request) (eval.Query, error) {
 			}
 		}
 	}
-	return spec.buildQuery()
+	return spec.buildQuery(chips)
 }
 
 // evalError reports an /eval failure as JSON.

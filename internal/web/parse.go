@@ -78,9 +78,9 @@ func defaultEvalSpec() evalQuerySpec {
 }
 
 // buildQuery validates the spec and realizes it as the canonical
-// eval.Query: a CPU/GPU(/DSP) work split on a preset chip.
-func (s evalQuerySpec) buildQuery() (eval.Query, error) {
-	cfg, err := evalChip(s.Chip)
+// eval.Query: a CPU/GPU(/DSP) work split on a preset from chips.
+func (s evalQuerySpec) buildQuery(chips *chipPresets) (eval.Query, error) {
+	cfg, err := chips.chip(s.Chip)
 	if err != nil {
 		return eval.Query{}, err
 	}
