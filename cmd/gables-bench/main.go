@@ -44,9 +44,9 @@ type target struct {
 // core, the bandwidth servers, the whole simulated kernel path, the model
 // evaluator, the experiment harness (sequential and parallel, so the
 // speedup floor below is checkable from one record), the batched analytic
-// grid, the coarse-to-fine sim grid, the simulation-result cache (cold vs
-// warm sweep grids), and the surrogate backend (fitted fast path vs the
-// cold sim query it stands in for, plus the warm-cache re-calibration).
+// grid, the simulation-result cache (cold vs warm sweep grids), and the
+// surrogate backend (fitted fast path vs the cold sim query it stands in
+// for, plus the warm-cache re-calibration).
 var suite = []target{
 	{Pkg: "./internal/sim/engine", Bench: ".", Tier1: true},
 	{Pkg: "./internal/sim/mem", Bench: ".", Tier1: true},
@@ -54,7 +54,6 @@ var suite = []target{
 	{Pkg: "./internal/experiments", Bench: "BenchmarkHarnessSequential$", Tier1: true},
 	{Pkg: "./internal/experiments", Bench: "BenchmarkHarnessParallel$", Tier1: true},
 	{Pkg: "./internal/sweep", Bench: "BenchmarkGridAnalyticBatch$", Tier1: true},
-	{Pkg: "./internal/gridplan", Bench: "BenchmarkGridCoarseToFine$", Tier1: true},
 	{Pkg: "./internal/simcache", Bench: "BenchmarkCacheColdGrid$|BenchmarkCacheWarmGrid$", Tier1: true},
 	{Pkg: "./internal/surrogate", Bench: "BenchmarkSurrogateEvaluate$|BenchmarkSurrogateSimCold$|BenchmarkCalibrate$", Tier1: true},
 }

@@ -13,12 +13,6 @@
 // plain-text utilization summary to stderr; both are observe-only but
 // bypass the simulation cache.
 //
-// -refine routes the mixing grid — and, when -validate is set, the
-// validation grid's measured column — through the coarse-to-fine planner:
-// "exact" still simulates every cell but byte-verifies the plan (the CI
-// posture), "fast" interpolates tile interiors whose probes land within
-// -refine-tol and prints the planner's savings to stderr.
-//
 // -calibrate fits (or loads, when -calibration-dir or
 // $GABLES_CALIBRATION_DIR holds a matching artifact) the surrogate
 // backend's calibration for the selected chip and prints the fitted
@@ -27,7 +21,7 @@
 //
 // Usage:
 //
-//	gables-erb [-chip 835|821] [-ip CPU,GPU,DSP] [-mixing] [-refine off|exact|fast] [-calibrate] [-native] [-cache dir] [-trace file] [-metrics] [-v] [-dir out]
+//	gables-erb [-chip 835|821] [-ip CPU,GPU,DSP] [-mixing] [-calibrate] [-native] [-cache dir] [-trace file] [-metrics] [-v] [-dir out]
 package main
 
 import (
@@ -41,7 +35,6 @@ import (
 
 	"github.com/gables-model/gables/internal/erb"
 	"github.com/gables-model/gables/internal/eval"
-	"github.com/gables-model/gables/internal/gridplan"
 	"github.com/gables-model/gables/internal/kernel"
 	"github.com/gables-model/gables/internal/plot"
 	"github.com/gables-model/gables/internal/report"
@@ -55,8 +48,6 @@ func main() {
 	chip := flag.String("chip", "835", "simulated chip: 835 or 821")
 	ips := flag.String("ip", "CPU,GPU,DSP", "comma-separated IPs to measure")
 	mixing := flag.Bool("mixing", false, "also run the §IV-C CPU+GPU mixing analysis")
-	refine := flag.String("refine", "off", "coarse-to-fine planner for the mixing grid: off, exact (verify against dense), or fast (interpolate trusted tiles)")
-	refineTol := flag.Float64("refine-tol", 0, "probe tolerance for -refine (relative error; 0 uses the planner default)")
 	native := flag.Bool("native", false, "also run Algorithm 1 natively on this host")
 	validate := flag.Bool("validate", false, "also cross-validate the analytic model against the simulator")
 	dir := flag.String("dir", "", "write roofline SVGs into this directory")
@@ -84,17 +75,13 @@ func main() {
 		session = trace.NewSession()
 		simcache.SetProbeFactory(session.NewRun)
 	}
-	refineOpts, err := parseRefine(*refine, *refineTol)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "gables-erb:", err)
-		os.Exit(1)
-	}
+	var err error
 	if *calibrate {
 		err = runCalibrate(os.Stdout, *chip, *calibDir)
 	} else {
-		err = run(*chip, *ips, *mixing, *native, *dir, refineOpts)
+		err = run(*chip, *ips, *mixing, *native, *dir)
 		if err == nil && *validate {
-			err = runValidation(*chip, refineOpts)
+			err = runValidation(*chip)
 		}
 	}
 	if session != nil && err == nil {
@@ -184,9 +171,8 @@ func runCalibrate(w io.Writer, chip, dir string) error {
 }
 
 // runValidation prints the model-vs-simulator grid (the paper's "correct
-// shape and reasonable relative error" bar). A non-nil refine routes the
-// measured column through the coarse-to-fine planner.
-func runValidation(chip string, refine *gridplan.Options) error {
+// shape and reasonable relative error" bar).
+func runValidation(chip string) error {
 	cfg, err := chipConfig(chip)
 	if err != nil {
 		return err
@@ -195,13 +181,9 @@ func runValidation(chip string, refine *gridplan.Options) error {
 	if err != nil {
 		return err
 	}
-	res, err := erb.ValidateModel(sys, erb.ValidationOptions{CPU: "CPU", Accel: "GPU", Refine: refine})
+	res, err := erb.ValidateModel(sys, erb.ValidationOptions{CPU: "CPU", Accel: "GPU"})
 	if err != nil {
 		return err
-	}
-	if res.Plan != nil {
-		fmt.Fprintf(os.Stderr, "validation plan: %d simulated, %d interpolated, %d/%d tiles refined, max probe err %.3f\n",
-			res.Plan.Evaluated, res.Plan.Interpolated, res.Plan.RefinedTiles, res.Plan.Tiles, res.Plan.MaxInterpErr)
 	}
 	tbl := report.NewTable("model vs simulator (GFLOPS/s)", "f", "I (ops/B)", "predicted", "measured", "rel err")
 	for _, c := range res.Cells {
@@ -216,26 +198,7 @@ func runValidation(chip string, refine *gridplan.Options) error {
 	return nil
 }
 
-// parseRefine maps the -refine/-refine-tol flags onto gridplan options:
-// nil for "off", the zero value (exact mode) for "exact", and fast mode
-// with the chosen tolerance for "fast".
-func parseRefine(mode string, tol float64) (*gridplan.Options, error) {
-	if tol < 0 {
-		return nil, fmt.Errorf("-refine-tol must be non-negative, got %v", tol)
-	}
-	switch mode {
-	case "off", "":
-		return nil, nil
-	case "exact":
-		return &gridplan.Options{Tolerance: tol}, nil
-	case "fast":
-		return &gridplan.Options{Tolerance: tol, Mode: gridplan.ModeFast}, nil
-	default:
-		return nil, fmt.Errorf("unknown -refine mode %q (want off, exact, or fast)", mode)
-	}
-}
-
-func run(chip, ips string, mixing, native bool, dir string, refine *gridplan.Options) error {
+func run(chip, ips string, mixing, native bool, dir string) error {
 	cfg, err := chipConfig(chip)
 	if err != nil {
 		return err
@@ -294,14 +257,9 @@ func run(chip, ips string, mixing, native bool, dir string, refine *gridplan.Opt
 	}
 
 	if mixing {
-		res, err := erb.Mixing(sys, erb.MixingOptions{CPU: "CPU", Accel: "GPU", Refine: refine})
+		res, err := erb.Mixing(sys, erb.MixingOptions{CPU: "CPU", Accel: "GPU"})
 		if err != nil {
 			return err
-		}
-		if res.Plan != nil {
-			fmt.Fprintf(os.Stderr, "refinement plan: %d simulated (%d lattice+probe, %d refined), %d interpolated, %d/%d tiles refined, max probe err %.3f\n",
-				res.Plan.Evaluated, res.Plan.Evaluated-res.Plan.Refined, res.Plan.Refined,
-				res.Plan.Interpolated, res.Plan.RefinedTiles, res.Plan.Tiles, res.Plan.MaxInterpErr)
 		}
 		fmt.Printf("mixing analysis (baseline %.4g GFLOPS/s):\n", res.BaselineRate/1e9)
 		tbl := report.NewTable("", "f", "I=1", "I=4", "I=16", "I=64", "I=256", "I=1024")

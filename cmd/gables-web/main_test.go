@@ -155,6 +155,30 @@ func TestRunPprofListenFailure(t *testing.T) {
 	}
 }
 
+// TestDisplayAddr pins the startup banner's address: a wildcard bind
+// renders as localhost with the bound port, a specific host is kept.
+func TestDisplayAddr(t *testing.T) {
+	for _, tc := range []struct {
+		addr, host string
+	}{
+		{":0", "localhost"},
+		{"[::]:0", "localhost"},
+		{"127.0.0.1:0", "127.0.0.1"},
+	} {
+		t.Run(tc.addr, func(t *testing.T) {
+			ln, err := net.Listen("tcp", tc.addr)
+			if err != nil {
+				t.Skipf("cannot listen on %s: %v", tc.addr, err)
+			}
+			defer ln.Close()
+			want := fmt.Sprintf("%s:%d", tc.host, ln.Addr().(*net.TCPAddr).Port)
+			if got := displayAddr(ln); got != want {
+				t.Errorf("displayAddr(%s) = %q, want %q", ln.Addr(), got, want)
+			}
+		})
+	}
+}
+
 // freePort reserves then releases an ephemeral port for the pprof flag
 // (which takes a port number, not an address).
 func freePort(t *testing.T) int {

@@ -12,7 +12,6 @@ import (
 
 	"github.com/gables-model/gables/internal/core"
 	"github.com/gables-model/gables/internal/eval"
-	"github.com/gables-model/gables/internal/gridplan"
 	"github.com/gables-model/gables/internal/kernel"
 	"github.com/gables-model/gables/internal/parallel"
 	"github.com/gables-model/gables/internal/roofline"
@@ -166,15 +165,6 @@ type MixingOptions struct {
 	// host coordination, so backends that cannot represent it (analytic)
 	// reject the grid rather than silently answering a different question.
 	Evaluator eval.Evaluator
-	// Refine, when non-nil, routes the grid through the coarse-to-fine
-	// planner instead of evaluating every cell: a sparse lattice is
-	// simulated, probed tiles outside the tolerance are re-simulated,
-	// and trusted interiors are interpolated. The zero Options value is
-	// gridplan's exact mode — every cell still evaluated, the plan
-	// byte-verified — so opting in is safe by default; set Mode:
-	// gridplan.ModeFast to actually skip cells. Nil keeps the dense
-	// grid.
-	Refine *gridplan.Options
 }
 
 func (o *MixingOptions) applyDefaults() {
@@ -201,9 +191,6 @@ type MixingResult struct {
 	BaselineRate float64
 	// Points holds one entry per (line, fraction), line-major.
 	Points []MixingPoint
-	// Plan summarizes the coarse-to-fine planner's work when
-	// MixingOptions.Refine was set (nil for dense grids).
-	Plan *gridplan.Stats
 }
 
 // Mixing runs the §IV-C experiment on the simulated SoC: the CPU and the
@@ -256,10 +243,6 @@ func Mixing(sys *sim.System, opts MixingOptions) (*MixingResult, error) {
 		return nil, fmt.Errorf("erb: mixing baseline rate is zero")
 	}
 
-	if opts.Refine != nil {
-		return mixingRefined(sys, ev, opts, baseline)
-	}
-
 	type gridCell struct {
 		fpw int
 		f   float64
@@ -285,48 +268,6 @@ func Mixing(sys *sim.System, opts MixingOptions) (*MixingResult, error) {
 		return nil, err
 	}
 	return &MixingResult{BaselineRate: baseline, Points: points}, nil
-}
-
-// mixingRefined runs the mixing grid through the coarse-to-fine planner
-// (rows = intensity lines, columns = fractions). Exact-mode refinement
-// produces byte-identical Points to the dense grid; fast mode trades
-// interpolated interiors for fewer simulations, with the stats recorded
-// on the result.
-func mixingRefined(sys *sim.System, ev eval.Evaluator, opts MixingOptions, baseline float64) (*MixingResult, error) {
-	ro := *opts.Refine
-	if ro.Workers == 0 {
-		ro.Workers = opts.Workers
-	}
-	plan := gridplan.Plan{
-		Rows: len(opts.FlopsPerWord),
-		Cols: len(opts.Fractions),
-		Build: func(r, c int) (eval.Query, error) {
-			work, err := eval.SplitWork(sys.Config(), opts.Words, opts.FlopsPerWord[r], kernel.ReadWrite, []eval.Share{
-				{IP: opts.CPU, Fraction: 1 - opts.Fractions[c]}, {IP: opts.Accel, Fraction: opts.Fractions[c]},
-			})
-			if err != nil {
-				return eval.Query{}, err
-			}
-			return eval.Query{
-				Chip: sys.Config(), Work: work, Trials: opts.Trials, Coordination: true,
-			}, nil
-		},
-	}
-	res, err := gridplan.Run(context.Background(), ev, plan, ro)
-	if err != nil {
-		return nil, fmt.Errorf("erb: mixing refinement: %w", err)
-	}
-	points := make([]MixingPoint, 0, plan.Rows*plan.Cols)
-	for r, fpw := range opts.FlopsPerWord {
-		for c, f := range opts.Fractions {
-			rate := res.At(r, c).Outcome.Attainable
-			points = append(points, MixingPoint{
-				F: f, FlopsPerWord: fpw,
-				Rate: rate, Normalized: rate / baseline,
-			})
-		}
-	}
-	return &MixingResult{BaselineRate: baseline, Points: points, Plan: &res.Stats}, nil
 }
 
 // Line extracts one intensity line of the grid, in fraction order.

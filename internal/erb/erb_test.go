@@ -2,10 +2,12 @@ package erb
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"github.com/gables-model/gables/internal/kernel"
 	"github.com/gables-model/gables/internal/sim"
+	"github.com/gables-model/gables/internal/simcache"
 	"github.com/gables-model/gables/internal/units"
 )
 
@@ -162,6 +164,35 @@ func TestMixingValidation(t *testing.T) {
 	}
 	if _, err := Mixing(sys, MixingOptions{}); err == nil {
 		t.Error("missing IP names must be rejected")
+	}
+}
+
+// TestGridsIndependentOfWorkers pins that the mixing and validation grids
+// come out identical at any pool size. Each run starts from an empty
+// result cache so every cell is computed by the pool under test rather
+// than served from the previous run.
+func TestGridsIndependentOfWorkers(t *testing.T) {
+	sys := system(t)
+	run := func(workers int) (*MixingResult, *ValidationResult) {
+		simcache.ResetDefault()
+		mix, err := Mixing(sys, MixingOptions{CPU: "CPU", Accel: "GPU", Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		simcache.ResetDefault()
+		val, err := ValidateModel(sys, ValidationOptions{CPU: "CPU", Accel: "GPU", Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mix, val
+	}
+	mix1, val1 := run(1)
+	mix4, val4 := run(4)
+	if !reflect.DeepEqual(mix1, mix4) {
+		t.Errorf("mixing grid differs between 1 and 4 workers:\n1: %+v\n4: %+v", mix1, mix4)
+	}
+	if !reflect.DeepEqual(val1, val4) {
+		t.Errorf("validation grid differs between 1 and 4 workers:\n1: %+v\n4: %+v", val1, val4)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"github.com/gables-model/gables/internal/core"
 	"github.com/gables-model/gables/internal/eval"
-	"github.com/gables-model/gables/internal/gridplan"
 	"github.com/gables-model/gables/internal/kernel"
 	"github.com/gables-model/gables/internal/parallel"
 	"github.com/gables-model/gables/internal/sim"
@@ -48,9 +47,6 @@ type ValidationResult struct {
 	// pair of cells the same way (no rank inversions beyond ties
 	// within 2%): the paper's "correct shape".
 	ShapeConsistent bool
-	// Plan summarizes the coarse-to-fine planner's work when
-	// ValidationOptions.Refine was set (nil for dense grids).
-	Plan *gridplan.Stats
 }
 
 // ValidationOptions configure the grid.
@@ -68,13 +64,6 @@ type ValidationOptions struct {
 	// Workers bounds the grid's worker pool; 0 uses the
 	// GABLES_PARALLEL/GOMAXPROCS default.
 	Workers int
-	// Refine routes the measured (sim) column through the coarse-to-fine
-	// gridplan planner instead of the dense per-cell fan-out. The zero
-	// Options value is gridplan's exact mode — every cell still
-	// evaluated, the plan byte-verified against the dense grid — so
-	// opting in is safe by default; set Mode: gridplan.ModeFast to
-	// actually skip cells. Nil keeps the dense grid.
-	Refine *gridplan.Options
 }
 
 func (o *ValidationOptions) applyDefaults() {
@@ -158,62 +147,27 @@ func ValidateModel(sys *sim.System, opts ValidationOptions) (*ValidationResult, 
 		return nil, err
 	}
 
-	makeCell := func(i int, measured float64) ValidationCell {
-		cell := ValidationCell{
-			F: grid[i].f, FlopsPerWord: grid[i].fpw,
-			Predicted: preds[i].Attainable,
-			Measured:  measured,
-		}
-		if cell.Predicted > 0 {
-			cell.RelError = math.Abs(cell.Measured-cell.Predicted) / cell.Predicted
-		}
-		return cell
-	}
-
-	var cells []ValidationCell
-	var planStats *gridplan.Stats
-	if opts.Refine != nil {
-		// Coarse-to-fine measured column: the planner evaluates the grid
-		// corners densely and interpolates trusted interiors (exact mode
-		// evaluates everything and byte-verifies the plan). The analytic
-		// column above is already closed-form and stays dense.
-		ro := *opts.Refine
-		if ro.Workers == 0 {
-			ro.Workers = opts.Workers
-		}
-		plan := gridplan.Plan{
-			Rows:  len(opts.FlopsPerWord),
-			Cols:  len(opts.Fractions),
-			Build: func(r, c int) (eval.Query, error) { return qs[r*len(opts.Fractions)+c], nil },
-		}
-		gres, err := gridplan.Run(context.Background(), simEv, plan, ro)
-		if err != nil {
-			return nil, fmt.Errorf("erb: validation refinement: %w", err)
-		}
-		cells = make([]ValidationCell, 0, len(grid))
-		for r := range opts.FlopsPerWord {
-			for c := range opts.Fractions {
-				i := r*len(opts.Fractions) + c
-				cells = append(cells, makeCell(i, gres.At(r, c).Outcome.Attainable))
+	cells, err := parallel.Map(context.Background(), opts.Workers, grid,
+		func(ctx context.Context, i int, c gridCell) (ValidationCell, error) {
+			meas, err := simEv.Evaluate(ctx, qs[i])
+			if err != nil {
+				return ValidationCell{}, err
 			}
-		}
-		planStats = &gres.Stats
-	} else {
-		var err error
-		cells, err = parallel.Map(context.Background(), opts.Workers, grid,
-			func(ctx context.Context, i int, c gridCell) (ValidationCell, error) {
-				meas, err := simEv.Evaluate(ctx, qs[i])
-				if err != nil {
-					return ValidationCell{}, err
-				}
-				return makeCell(i, meas.Attainable), nil
-			})
-		if err != nil {
-			return nil, err
-		}
+			cell := ValidationCell{
+				F: c.f, FlopsPerWord: c.fpw,
+				Predicted: preds[i].Attainable,
+				Measured:  meas.Attainable,
+			}
+			if cell.Predicted > 0 {
+				cell.RelError = math.Abs(cell.Measured-cell.Predicted) / cell.Predicted
+			}
+			return cell, nil
+		})
+	if err != nil {
+		return nil, err
 	}
 
-	res := &ValidationResult{Cells: cells, ShapeConsistent: true, Plan: planStats}
+	res := &ValidationResult{Cells: cells, ShapeConsistent: true}
 	for _, cell := range cells {
 		res.MeanRelError += cell.RelError
 		res.MaxRelError = math.Max(res.MaxRelError, cell.RelError)
