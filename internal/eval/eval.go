@@ -346,21 +346,31 @@ func (q Query) TotalFlops() float64 {
 // realize converts the query into the simulation substrate's terms: one
 // kernel assignment per active IP, in chip declaration order (assignment
 // order is semantically meaningful — engine ties break by schedule
-// order), plus the run options. Both backends and the fingerprint derive
-// from this one realization.
+// order), plus the run options. The sim backend runs this realization;
+// the fingerprint hashes the same assignments and options, built by the
+// same helpers without the display labels.
 func (q Query) realize() ([]sim.Assignment, sim.RunOptions, error) {
 	if err := q.Validate(); err != nil {
 		return nil, sim.RunOptions{}, err
 	}
-	var as []sim.Assignment
+	as := q.appendAssignments(nil)
+	for i := range as {
+		as[i].Kernel.Name = "eval/" + as[i].IP
+	}
+	return as, q.runOptions(), nil
+}
+
+// appendAssignments appends one assignment per active IP, in chip
+// declaration order, to dst. Kernel.Name stays empty: it is a display
+// label that no fingerprint reads, and realize adds it for the runs.
+func (q Query) appendAssignments(dst []sim.Assignment) []sim.Assignment {
 	for i, w := range q.Work {
 		if w.Words == 0 {
 			continue
 		}
-		as = append(as, sim.Assignment{
+		dst = append(dst, sim.Assignment{
 			IP: q.Chip.IPs[i].Name,
 			Kernel: kernel.Kernel{
-				Name:         "eval/" + q.Chip.IPs[i].Name,
 				WorkingSet:   units.Bytes(w.Words * kernel.WordSize),
 				Trials:       q.trials(),
 				FlopsPerWord: w.FlopsPerWord,
@@ -368,12 +378,16 @@ func (q Query) realize() ([]sim.Assignment, sim.RunOptions, error) {
 			},
 		})
 	}
-	opt := sim.RunOptions{
+	return dst
+}
+
+// runOptions is the query's sim run options.
+func (q Query) runOptions() sim.RunOptions {
+	return sim.RunOptions{
 		Coordination: q.Coordination,
 		Thermal:      q.Thermal,
 		MaxEvents:    q.MaxEvents,
 	}
-	return as, opt, nil
 }
 
 // Share names one IP's fraction of a split workload.

@@ -22,17 +22,22 @@ const FingerprintVersion = 1
 
 // Fingerprint returns a stable hex key identifying the query's answer:
 // equal fingerprints mean both backends would be asked bitwise-identical
-// questions. It extends sim.Fingerprint — the query is realized into the
-// canonical (Config, assignments, RunOptions) triple and that run
-// fingerprint is hashed together with the eval-level semantics the triple
-// cannot express (the serialized-execution flag).
+// questions. It extends sim.Fingerprint — the query's (Config,
+// assignments, RunOptions) triple, exactly as the sim backend realizes it
+// up to the display-only kernel labels, is fingerprinted and hashed
+// together with the eval-level semantics the triple cannot express (the
+// serialized-execution flag).
 //
 //fp:encoder
 func Fingerprint(q Query) (string, error) {
-	as, opt, err := q.realize()
-	if err != nil {
+	if err := q.Validate(); err != nil {
 		return "", err
 	}
+	// One pass with every intermediate on the stack (the presets' IP
+	// counts fit the assignment array); the returned string is the only
+	// allocation.
+	var asStack [8]sim.Assignment
+	as := q.appendAssignments(asStack[:0])
 	// One buffer, hashed once: version, the serialized flag as one byte,
 	// then the length-prefixed inner run fingerprint.
 	var stack [128]byte
@@ -42,11 +47,12 @@ func Fingerprint(q Query) (string, error) {
 	} else {
 		b = append(b, 0)
 	}
-	inner := sim.Fingerprint(q.Chip, as, opt)
-	b = binary.LittleEndian.AppendUint64(b, uint64(len(inner)))
-	b = append(b, inner...)
+	b = binary.LittleEndian.AppendUint64(b, sim.FingerprintLen)
+	b = sim.AppendFingerprint(b, q.Chip, as, q.runOptions())
 	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:]), nil
+	var out [2 * sha256.Size]byte
+	hex.Encode(out[:], sum[:])
+	return string(out[:]), nil
 }
 
 // Key builds a content-addressed cache key under the eval namespace: the

@@ -1,6 +1,10 @@
 package eval
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math/rand"
 	"testing"
 
 	"github.com/gables-model/gables/internal/kernel"
@@ -60,6 +64,95 @@ func TestFingerprintGolden(t *testing.T) {
 					t.Errorf("%s: Fingerprint = %s, want %s", name, got, want[name])
 				}
 			}
+		}
+	}
+}
+
+// fingerprintViaRealize is the two-pass encoding Fingerprint replaced: the
+// labeled realization, sim.Fingerprint's hex, then the outer hash. The
+// one-pass Fingerprint must produce the same key for every query.
+func fingerprintViaRealize(q Query) (string, error) {
+	as, opt, err := q.realize()
+	if err != nil {
+		return "", err
+	}
+	b := binary.LittleEndian.AppendUint64(nil, FingerprintVersion)
+	if q.Serialized {
+		b = append(b, 1)
+	} else {
+		b = append(b, 0)
+	}
+	inner := sim.Fingerprint(q.Chip, as, opt)
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(inner)))
+	b = append(b, inner...)
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:]), nil
+}
+
+// TestFingerprintMatchesRealize checks the one-pass Fingerprint against
+// the realize-based encoding on random queries over every preset: two-
+// and three-IP splits, idle IPs, every run option, and invalid queries,
+// which must fail with the same error.
+func TestFingerprintMatchesRealize(t *testing.T) {
+	presets := []sim.Config{sim.Snapdragon835(), sim.Snapdragon821(), sim.Snapdragon835Extended()}
+	rng := rand.New(rand.NewSource(7))
+	for n := 0; n < 500; n++ {
+		cfg := presets[rng.Intn(len(presets))]
+		work := make([]IPWork, len(cfg.IPs))
+		for i := range work {
+			if rng.Intn(3) > 0 {
+				work[i] = IPWork{Words: rng.Intn(1 << 22), FlopsPerWord: rng.Intn(513), Pattern: kernel.Pattern(rng.Intn(2))}
+			}
+		}
+		q := Query{
+			Chip:         cfg,
+			Work:         work,
+			Trials:       rng.Intn(5) - 1,
+			Serialized:   rng.Intn(2) == 0,
+			Coordination: rng.Intn(2) == 0,
+			Thermal:      rng.Intn(2) == 0,
+			MaxEvents:    rng.Intn(3) * 1000,
+		}
+		got, gotErr := Fingerprint(q)
+		want, wantErr := fingerprintViaRealize(q)
+		if got != want || (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+			t.Fatalf("query %d: Fingerprint = %q, %v; realize-based = %q, %v", n, got, gotErr, want, wantErr)
+		}
+	}
+}
+
+// TestFingerprintAllocs pins the allocation contract of the fingerprint
+// path: eval.Fingerprint allocates only the returned string, and
+// sim.AppendFingerprint into a buffer with room allocates nothing.
+func TestFingerprintAllocs(t *testing.T) {
+	cfg := sim.Snapdragon835()
+	shapes := map[string][]Share{
+		"two-ip":   {{IP: "GPU", Fraction: 0.5}, {IP: "CPU", Fraction: 0.5}},
+		"three-ip": {{IP: "GPU", Fraction: 0.375}, {IP: "DSP", Fraction: 0.125}, {IP: "CPU", Fraction: 0.5}},
+	}
+	for name, shares := range shapes {
+		work, err := SplitWork(cfg, 4<<20, 32, kernel.ReadWrite, shares)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := Query{Chip: cfg, Work: work, Trials: DefaultTrials}
+		if got := testing.AllocsPerRun(100, func() {
+			if _, err := Fingerprint(q); err != nil {
+				t.Fatal(err)
+			}
+		}); got > 1 {
+			t.Errorf("%s: eval.Fingerprint made %v allocations, want at most 1", name, got)
+		}
+
+		as, opt, err := q.realize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, 0, sim.FingerprintLen)
+		if got := testing.AllocsPerRun(100, func() {
+			buf = sim.AppendFingerprint(buf[:0], cfg, as, opt)
+		}); got != 0 {
+			t.Errorf("%s: sim.AppendFingerprint made %v allocations, want 0", name, got)
 		}
 	}
 }

@@ -60,13 +60,23 @@ import (
 //fp:lock v1 2d9cd03840bf0576
 const FingerprintVersion = 1
 
+// FingerprintLen is the length of a fingerprint: the hex of a SHA-256 sum.
+const FingerprintLen = 2 * sha256.Size
+
 // Fingerprint returns a stable hex key identifying the result of
 // (*System).Run for this configuration, assignment list, and options.
 // Two calls agree if and only if they describe the same simulated run
 // under the current FingerprintVersion.
+func Fingerprint(cfg Config, assignments []Assignment, opt RunOptions) string {
+	var out [FingerprintLen]byte
+	return string(AppendFingerprint(out[:0], cfg, assignments, opt))
+}
+
+// AppendFingerprint appends Fingerprint's FingerprintLen hex bytes to dst
+// and returns the extended slice; it allocates nothing when dst has room.
 //
 //fp:encoder
-func Fingerprint(cfg Config, assignments []Assignment, opt RunOptions) string {
+func AppendFingerprint(dst []byte, cfg Config, assignments []Assignment, opt RunOptions) []byte {
 	// The canonical stream is built in one buffer (the presets' streams
 	// fit the stack array) and hashed in one call.
 	var stack [1024]byte
@@ -123,7 +133,7 @@ func Fingerprint(cfg Config, assignments []Assignment, opt RunOptions) string {
 	b = b.uint64(uint64(maxEvents))
 
 	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
+	return hex.AppendEncode(dst, sum[:])
 }
 
 // FingerprintAssignment is a convenience for the common single-assignment

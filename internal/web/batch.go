@@ -2,7 +2,6 @@ package web
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strings"
@@ -122,9 +121,8 @@ func (s *server) batchHandler(w http.ResponseWriter, r *http.Request) {
 	if limit <= 0 {
 		limit = DefaultBatchLimit
 	}
-	var req batchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBody))
-	if err := dec.Decode(&req); err != nil {
+	req, err := decodeBatchBody(http.MaxBytesReader(w, r.Body, maxBatchBody))
+	if err != nil {
 		evalError(w, http.StatusBadRequest, fmt.Errorf("undecodable batch body: %w", err))
 		return
 	}
@@ -350,12 +348,14 @@ func allSupported(ev eval.Evaluator, idxs []int, queries []eval.Query) bool {
 	return true
 }
 
-// finishItem builds one successful item result, attaching the canonical
-// fingerprint.
+// finishItem builds one answered item's result, attaching the canonical
+// fingerprint. A query without a fingerprint reports the error instead of
+// its outcome, as /eval answers it with a 500, so exactly one of Outcome
+// and Error is set.
 func finishItem(q eval.Query, o *eval.Outcome) batchItemResult {
-	res := batchItemResult{Chip: q.Chip.Name, Backend: o.Backend, Outcome: o}
-	if fp, err := eval.Fingerprint(q); err == nil {
-		res.Fingerprint = fp
+	fp, err := eval.Fingerprint(q)
+	if err != nil {
+		return batchItemResult{Chip: q.Chip.Name, Error: err.Error()}
 	}
-	return res
+	return batchItemResult{Chip: q.Chip.Name, Backend: o.Backend, Fingerprint: fp, Outcome: o}
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"github.com/gables-model/gables/internal/eval"
+	"github.com/gables-model/gables/internal/sim"
 )
 
 func postBatch(t *testing.T, srv *httptest.Server, path, body string) (*http.Response, []byte) {
@@ -397,5 +398,24 @@ func TestBatchGroupsByResolvedBackend(t *testing.T) {
 	}
 	if len(stub.slabs) != 1 || stub.slabs[0] != 4 {
 		t.Errorf("backend saw slabs %v, want one slab of 4", stub.slabs)
+	}
+}
+
+// TestFinishItemFingerprintError pins that an answered item whose query
+// has no fingerprint reports the fingerprint error instead of its
+// outcome: exactly one of Outcome and Error is set, never an outcome
+// without a fingerprint.
+func TestFinishItemFingerprintError(t *testing.T) {
+	q := eval.Query{Chip: sim.Snapdragon835()} // no work entries: fails Validate
+	res := finishItem(q, &eval.Outcome{Backend: "stub"})
+	want := q.Validate()
+	if want == nil {
+		t.Fatal("query unexpectedly valid")
+	}
+	if res.Outcome != nil || res.Fingerprint != "" || res.Backend != "" {
+		t.Errorf("result %+v carries an outcome, want only the error", res)
+	}
+	if res.Error != want.Error() || res.Chip != q.Chip.Name {
+		t.Errorf("result chip %q error %q, want %q and %q", res.Chip, res.Error, q.Chip.Name, want)
 	}
 }
