@@ -41,6 +41,26 @@ func (w *Writer) Reset(indent bool) {
 	*w = Writer{buf: w.buf[:0], indent: indent}
 }
 
+// ResetFragment empties the writer for a fragment of a document that
+// starts inside depth open containers (1 ≤ depth ≤ 63), so the parts of
+// one document can be encoded apart — concurrently — and sent in order.
+// filled says whether the innermost container already holds a member
+// written before the fragment, so the fragment's first Element or Key is
+// preceded by a comma; each enclosing container holds the next one.
+func (w *Writer) ResetFragment(indent bool, depth int, filled bool) {
+	w.Reset(indent)
+	w.depth = depth
+	w.filled = uint64(1)<<depth - 2 // bits 1 … depth-1: each encloses the next
+	if filled {
+		w.MarkFilled()
+	}
+}
+
+// MarkFilled records that the innermost open container holds a member
+// written elsewhere — by fragments sent between this writer's bytes — so
+// it closes on its own line and a later member is preceded by a comma.
+func (w *Writer) MarkFilled() { w.filled |= 1 << w.depth }
+
 // Bytes returns the encoded bytes, valid until the next Reset.
 func (w *Writer) Bytes() []byte { return w.buf }
 

@@ -119,3 +119,106 @@ func TestLayoutMatchesEncodingJSON(t *testing.T) {
 		}
 	}
 }
+
+// TestFragmentsMatchOneWriter encodes a document as a head, its array's
+// elements in fragments split at every subset of element boundaries, and
+// a tail, and requires the concatenation to be the bytes one writer (and
+// encoding/json) writes, in both layouts and for empty, one- and
+// several-element arrays.
+func TestFragmentsMatchOneWriter(t *testing.T) {
+	type elem struct {
+		I float64   `json:"i"`
+		V []float64 `json:"v"`
+	}
+	type doc struct {
+		A     string `json:"a"`
+		Items []elem `json:"items"`
+		Z     *elem  `json:"z"`
+	}
+	element := func(w *Writer, e elem) {
+		w.Element()
+		w.BeginObject()
+		w.Key("i")
+		w.Float(e.I)
+		w.Key("v")
+		w.BeginArray()
+		for _, f := range e.V {
+			w.Element()
+			w.Float(f)
+		}
+		w.EndArray()
+		w.EndObject()
+	}
+	tail := func(w *Writer) {
+		w.EndArray()
+		w.Key("z")
+		w.Null()
+		w.EndObject()
+		w.End()
+	}
+	for _, n := range []int{0, 1, 2, 4} {
+		v := doc{A: "a", Items: []elem{}}
+		for k := 0; k < n; k++ {
+			v.Items = append(v.Items, elem{I: float64(k), V: []float64{float64(k) + 0.5}})
+		}
+		for _, indent := range []bool{false, true} {
+			var one Writer
+			one.Reset(indent)
+			one.BeginObject()
+			one.Key("a")
+			one.String(v.A)
+			one.Key("items")
+			one.BeginArray()
+			head := len(one.Bytes())
+			for _, e := range v.Items {
+				element(&one, e)
+			}
+			tail(&one)
+			if want := std(t, v, indent); !bytes.Equal(one.Bytes(), want) {
+				t.Fatalf("n=%d indent=%v: one writer\n got %s\nwant %s", n, indent, one.Bytes(), want)
+			}
+
+			// The head writer goes on to write the tail, told that the
+			// fragments filled the array; a fragment writer at the array's
+			// depth writes the same tail.
+			var env, tailFrag Writer
+			env.Reset(indent)
+			env.BeginObject()
+			env.Key("a")
+			env.String(v.A)
+			env.Key("items")
+			env.BeginArray()
+			if n > 0 {
+				env.MarkFilled()
+			}
+			tail(&env)
+			tailFrag.ResetFragment(indent, 2, n > 0)
+			tail(&tailFrag)
+			if !bytes.Equal(env.Bytes()[head:], tailFrag.Bytes()) {
+				t.Errorf("n=%d indent=%v: tail %q, fragment tail %q", n, indent, env.Bytes()[head:], tailFrag.Bytes())
+			}
+
+			// Bit k-1 of cuts set: a fragment ends after element k.
+			for cuts := 0; cuts < 1<<max(n-1, 0); cuts++ {
+				got := append([]byte(nil), env.Bytes()[:head]...)
+				var frag Writer
+				lo := 0
+				for k := 1; k <= n; k++ {
+					if k < n && cuts&(1<<(k-1)) == 0 {
+						continue
+					}
+					frag.ResetFragment(indent, 2, lo > 0)
+					for _, e := range v.Items[lo:k] {
+						element(&frag, e)
+					}
+					got = append(got, frag.Bytes()...)
+					lo = k
+				}
+				got = append(got, env.Bytes()[head:]...)
+				if !bytes.Equal(got, one.Bytes()) {
+					t.Errorf("n=%d indent=%v cuts=%b:\n got %s\nwant %s", n, indent, cuts, got, one.Bytes())
+				}
+			}
+		}
+	}
+}

@@ -161,8 +161,10 @@ func (a *admission) acquire(ctx context.Context, class int) (func(), error) {
 // tryAcquire claims a slot only when one is immediately free: no
 // queueing, no shedding, and no outcome counter — the per-request
 // Admitted/Queued/Shed/Canceled invariant counts requests, and an extra
-// slot belongs to a request already counted. The batch fan-out charges
-// each worker beyond a request's own slot through here, so MaxInFlight
+// slot belongs to a request already counted. Every batch fan-out
+// (server.fanout: point-wise evaluation, slab fingerprinting, response
+// encoding) charges each worker beyond a request's own slot through
+// here, so MaxInFlight
 // bounds real evaluation concurrency across point requests, batch
 // requests, and their workers together; when nothing is free the batch
 // degrades toward sequential on the slot it already holds, which always

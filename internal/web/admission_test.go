@@ -1,6 +1,7 @@
 package web
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -382,5 +383,73 @@ func TestOverloadPriorityHTTP(t *testing.T) {
 	s := serveStats(t, srv)
 	if got := s.Admitted + s.Queued + s.Shed + s.Canceled; got != 3 {
 		t.Fatalf("outcome counters sum to %d for 3 requests: %+v", got, s)
+	}
+}
+
+// TestBatchChunkFanoutBounded is TestBatchFanoutBounded for the analytic
+// slab: the chunked fan-out that fingerprints its items and encodes the
+// buffered response must charge every worker beyond the request's own
+// slot, so at MaxInFlight 2 no more than two chunk workers ever run, and
+// every extra slot is back when the request returns.
+func TestBatchChunkFanoutBounded(t *testing.T) {
+	opts := Options{MaxInFlight: 2, QueueDepth: 4, BatchWorkers: 4}
+
+	// The finishing loop, gated in its per-item note: the request's slot
+	// and the one free slot run two workers, never a third.
+	s := newServer(opts)
+	release, err := s.adm.acquire(context.Background(), classBatch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := batchRequest{Backend: "analytic", Items: make([]batchItem, 16)}
+	results := make([]batchItemResult, len(req.Items))
+	entered := make(chan int, len(req.Items))
+	gate := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.evaluateBatch(context.Background(), req, results, func(i int) {
+			entered <- i
+			<-gate
+		})
+	}()
+	for k := 0; k < 2; k++ {
+		select {
+		case <-entered:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("only %d chunk workers started with a free slot and BatchWorkers=4", k)
+		}
+	}
+	select {
+	case i := <-entered:
+		t.Fatalf("a third worker reached item %d with MaxInFlight=2: the chunk fan-out is not charged", i)
+	case <-time.After(100 * time.Millisecond):
+	}
+	if got := s.adm.Stats().InFlight; got != 2 {
+		t.Errorf("in-flight %d during the fan-out, want 2", got)
+	}
+	close(gate)
+	<-done
+	release()
+	for i, res := range results {
+		if res.Outcome == nil || res.Fingerprint == "" {
+			t.Errorf("item %d: %+v, want an answered item", i, res)
+		}
+	}
+	if got := s.adm.Stats().InFlight; got != 0 {
+		t.Fatalf("in-flight %d after the batch: extra slots leaked", got)
+	}
+
+	// Through the mux, fingerprinting and encoding alike: the response is
+	// the one a single worker writes, and no slot is left charged.
+	srv := httptest.NewServer(NewHandler(opts))
+	defer srv.Close()
+	body := string(batchBenchBodies(t, 1, 64, 3)[0])
+	want := serve(NewHandler(Options{BatchWorkers: 1}), http.MethodPost, "/eval/batch", body).Body.Bytes()
+	if resp, got := postBatch(t, srv, "/eval/batch", body); resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
+		t.Errorf("status %d, body differs from the single-worker response: %v", resp.StatusCode, !bytes.Equal(got, want))
+	}
+	if s := serveStats(t, srv); s.InFlight != 0 {
+		t.Fatalf("in-flight %d after the batch drained: extra slots leaked", s.InFlight)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
+	"sync"
 
 	"github.com/gables-model/gables/internal/eval"
 	"github.com/gables-model/gables/internal/jsonenc"
@@ -20,10 +21,12 @@ import (
 // when it implements eval.BatchEvaluator: every item is built on the
 // server's chip table, so all items for one chip share one sim.Config
 // backing and the analytic backend derives each chip's model once per
-// slab. Other groups take a bounded parallel fan-out (sim items run
+// slab, whose items are then fingerprinted in contiguous chunks, one per
+// worker. Other groups take a bounded parallel fan-out (sim items run
 // concurrently up to the worker bound, deduplicated by the simcache
-// singleflight). The fan-out is charged against the admission limiter:
-// the request's own slot covers one evaluation at a time, and each
+// singleflight). A buffered response is encoded in the same contiguous
+// chunks. Every fan-out is charged against the admission limiter
+// (fanout): the request's own slot covers one worker, and each
 // additional worker runs only if it wins a free slot
 // (admission.tryAcquire), so MaxInFlight bounds real concurrency whatever
 // the batch mix.
@@ -141,7 +144,7 @@ func (s *server) batchHandler(w http.ResponseWriter, r *http.Request) {
 	}
 	results := make([]batchItemResult, len(req.Items))
 	s.evaluateBatch(r.Context(), req, results, nil)
-	writeJSON(w, &batchResponse{Items: results})
+	s.writeBatch(w, results)
 }
 
 // streamBatch answers the NDJSON shape: evaluation runs concurrently with
@@ -278,34 +281,25 @@ func (s *server) evaluateGroup(ctx context.Context, ev eval.Evaluator, idxs []in
 		}
 		out := make([]eval.Outcome, len(qs))
 		if err := be.EvaluateBatch(ctx, qs, out); err == nil {
-			for k, i := range idxs {
-				o := out[k]
-				results[i] = finishItem(queries[i], &o)
-				note(i)
-			}
+			// out is this slab's own, so each result can point into it.
+			chunked(s, len(idxs), func(lo, hi int) struct{} {
+				for k := lo; k < hi; k++ {
+					i := idxs[k]
+					results[i] = finishItem(queries[i], &out[k])
+					note(i)
+				}
+				return struct{}{}
+			})
 			return
 		}
 		// A slab error names one query but poisons the whole slab's
 		// outcomes; replay point-wise so each item reports its own.
 	}
 
-	// The request's admission slot covers one worker; each one beyond it
-	// must win a free slot or it doesn't run, so the whole fleet of point
-	// requests, batches, and batch workers stays under MaxInFlight. With
-	// nothing free the group degrades to sequential on the slot it holds.
-	workers := parallel.Workers(s.opts.BatchWorkers)
-	if workers > len(idxs) {
-		workers = len(idxs)
-	}
-	var extra []func()
-	for len(extra) < workers-1 {
-		release, ok := s.adm.tryAcquire()
-		if !ok {
-			break
-		}
-		extra = append(extra, release)
-	}
-	parallel.ForEach(ctx, 1+len(extra), idxs, func(ctx context.Context, _ int, i int) error {
+	// Items are claimed one by one rather than in fixed chunks: a cold sim
+	// item costs milliseconds where a cached one costs microseconds.
+	workers, release := s.fanout(len(idxs))
+	parallel.ForEach(ctx, workers, idxs, func(ctx context.Context, _ int, i int) error {
 		o, err := ev.Evaluate(ctx, queries[i])
 		switch {
 		case err != nil:
@@ -318,9 +312,7 @@ func (s *server) evaluateGroup(ctx context.Context, ev eval.Evaluator, idxs []in
 		note(i)
 		return nil // item errors stay with the item
 	})
-	for _, release := range extra {
-		release()
-	}
+	release()
 
 	// Cancellation can keep items from ever starting; finalize them with
 	// the context error rather than leaving zero-value results behind.
@@ -334,6 +326,55 @@ func (s *server) evaluateGroup(ctx context.Context, ev eval.Evaluator, idxs []in
 			note(i)
 		}
 	}
+}
+
+// fanout wins the workers of one request's fan-out over n units of work.
+// The request's admission slot covers one worker; each one beyond it — up
+// to parallel.Workers(BatchWorkers) in all — must win a free slot through
+// admission.tryAcquire or it doesn't run, so the whole fleet of point
+// requests, batches, and batch workers stays under MaxInFlight. With
+// nothing free the work runs sequentially on the slot the request holds.
+// release frees the extra slots; call it exactly once, after the workers
+// finish.
+func (s *server) fanout(n int) (workers int, release func()) {
+	want := parallel.Workers(s.opts.BatchWorkers)
+	if want > n {
+		want = n
+	}
+	var extra []func()
+	for len(extra) < want-1 {
+		r, ok := s.adm.tryAcquire()
+		if !ok {
+			break
+		}
+		extra = append(extra, r)
+	}
+	return 1 + len(extra), func() {
+		for _, r := range extra {
+			r()
+		}
+	}
+}
+
+// chunked splits the items [0, n) into one contiguous chunk per worker
+// the request wins (fanout) and returns fn's result for each chunk, in
+// item order. The calling goroutine, on the request's own slot, runs the
+// first chunk; every extra slot is released before chunked returns.
+func chunked[T any](s *server, n int, fn func(lo, hi int) T) []T {
+	workers, release := s.fanout(n)
+	defer release()
+	out := make([]T, workers)
+	var wg sync.WaitGroup
+	for c := 1; c < workers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			out[c] = fn(c*n/workers, (c+1)*n/workers)
+		}(c)
+	}
+	out[0] = fn(0, n/workers)
+	wg.Wait()
+	return out
 }
 
 // allSupported reports whether the backend can answer every query in the

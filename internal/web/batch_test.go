@@ -419,3 +419,32 @@ func TestFinishItemFingerprintError(t *testing.T) {
 		t.Errorf("result chip %q error %q, want %q and %q", res.Chip, res.Error, q.Chip.Name, want)
 	}
 }
+
+// TestBatchResponseIndependentOfWorkers pins that the fan-out never shows
+// in a response: buffered and NDJSON bodies are byte-identical whatever
+// the worker count, including at MaxInFlight 1, where no extra slot can
+// be won and every chunk runs inline.
+func TestBatchResponseIndependentOfWorkers(t *testing.T) {
+	bodies := batchBenchBodies(t, 2, batchBenchItems, 7)
+	targets := []string{"/eval/batch", "/eval/batch?stream=1"}
+	var want [][]byte // per body and target, at BatchWorkers 1
+	for _, opts := range []Options{{BatchWorkers: 1}, {BatchWorkers: 2}, {BatchWorkers: 4}, {MaxInFlight: 1, BatchWorkers: 4}} {
+		h := NewHandler(opts)
+		var got [][]byte
+		for b, body := range bodies {
+			for _, target := range targets {
+				rec := serve(h, http.MethodPost, target, string(body))
+				if rec.Code != http.StatusOK {
+					t.Fatalf("%+v %s body %d: status %d: %s", opts, target, b, rec.Code, rec.Body)
+				}
+				if want != nil && !bytes.Equal(rec.Body.Bytes(), want[len(got)]) {
+					t.Errorf("%+v %s body %d: response differs from BatchWorkers 1", opts, target, b)
+				}
+				got = append(got, rec.Body.Bytes())
+			}
+		}
+		if want == nil {
+			want = got
+		}
+	}
+}

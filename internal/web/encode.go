@@ -29,18 +29,84 @@ type jsonAppender interface {
 // any byte of it is committed.
 func writeJSON(w http.ResponseWriter, v jsonAppender) {
 	enc := responsePool.Get().(*jsonenc.Writer)
+	defer putResponse(enc)
 	enc.Reset(true)
 	v.appendJSON(enc)
 	enc.End()
 	if err := enc.Err(); err != nil {
 		evalError(w, http.StatusInternalServerError, err)
-	} else {
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(enc.Bytes())
+		return
 	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(enc.Bytes())
+}
+
+// putResponse returns a writer to the pool unless its buffer outgrew
+// maxPooledResponse.
+func putResponse(enc *jsonenc.Writer) {
 	if cap(enc.Bytes()) <= maxPooledResponse {
 		responsePool.Put(enc)
 	}
+}
+
+// itemsDepth is the depth of the buffered batch envelope's items array:
+// inside the envelope object, inside the array.
+const itemsDepth = 2
+
+// writeBatch sends a buffered /eval/batch response, byte for byte what one
+// writer encoding batchResponse{Items: items} writes. The items are
+// encoded in contiguous chunks on the request's workers (chunked), each
+// into a pooled fragment writer that starts inside the items array. An
+// unsupported value in any chunk fails the whole response with a 500
+// naming the first one in item order, before any byte is committed.
+// Otherwise the envelope's head, the chunks in order and its tail go
+// straight to w, with no buffer gathering them.
+func (s *server) writeBatch(w http.ResponseWriter, items []batchItemResult) {
+	chunks := chunked(s, len(items), func(lo, hi int) *jsonenc.Writer {
+		enc := responsePool.Get().(*jsonenc.Writer)
+		enc.ResetFragment(true, itemsDepth, lo > 0)
+		for i := lo; i < hi; i++ {
+			enc.Element()
+			items[i].appendJSON(enc)
+		}
+		return enc
+	})
+	defer func() {
+		for _, enc := range chunks {
+			putResponse(enc)
+		}
+	}()
+	for _, enc := range chunks {
+		if err := enc.Err(); err != nil {
+			evalError(w, http.StatusInternalServerError, err)
+			return
+		}
+	}
+
+	env := responsePool.Get().(*jsonenc.Writer)
+	defer putResponse(env)
+	env.Reset(true)
+	env.BeginObject()
+	env.Key("items")
+	env.BeginArray()
+	head := len(env.Bytes())
+	if len(items) > 0 {
+		env.MarkFilled() // the chunks' elements
+	}
+	env.EndArray()
+	env.EndObject()
+	env.End()
+
+	w.Header().Set("Content-Type", "application/json")
+	if _, err := w.Write(env.Bytes()[:head]); err != nil {
+		return // client gone
+	}
+	for _, enc := range chunks {
+		if _, err := w.Write(enc.Bytes()); err != nil {
+			return
+		}
+	}
+	w.Write(env.Bytes()[head:])
 }
 
 func (r *evalResponse) appendJSON(w *jsonenc.Writer) {
@@ -53,22 +119,6 @@ func (r *evalResponse) appendJSON(w *jsonenc.Writer) {
 	w.String(r.Fingerprint)
 	w.Key("outcome")
 	r.Outcome.AppendJSON(w)
-	w.EndObject()
-}
-
-func (r *batchResponse) appendJSON(w *jsonenc.Writer) {
-	w.BeginObject()
-	w.Key("items")
-	if r.Items == nil {
-		w.Null()
-	} else {
-		w.BeginArray()
-		for i := range r.Items {
-			w.Element()
-			r.Items[i].appendJSON(w)
-		}
-		w.EndArray()
-	}
 	w.EndObject()
 }
 

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strconv"
 	"strings"
@@ -69,13 +70,15 @@ func TestResponseEncodingCorpus(t *testing.T) {
 		}
 	}
 	items = append(items, batchItemResult{Chip: "<chip & \u2028>", Error: "eval: \"quoted\"\n\xff"}, batchItemResult{})
-	all := &batchResponse{Items: items}
-	if got, want := appendJSON(all, true), stdJSON(t, all, true); !bytes.Equal(got, want) {
-		t.Errorf("batch response differs:\n got %s\nwant %s", got, want)
-	}
-	none := &batchResponse{}
-	if got, want := appendJSON(none, true), stdJSON(t, none, true); !bytes.Equal(got, want) {
-		t.Errorf("empty batch response: got %s, want %s", got, want)
+	for _, workers := range []int{1, 4} {
+		s := newServer(Options{BatchWorkers: workers})
+		for _, all := range []*batchResponse{{Items: items}, {Items: []batchItemResult{}}} {
+			rec := httptest.NewRecorder()
+			s.writeBatch(rec, all.Items)
+			if got, want := rec.Body.Bytes(), stdJSON(t, all, true); !bytes.Equal(got, want) {
+				t.Errorf("%d workers, %d items: batch response differs:\n got %s\nwant %s", workers, len(all.Items), got, want)
+			}
+		}
 	}
 }
 

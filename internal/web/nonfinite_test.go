@@ -89,4 +89,31 @@ func TestNonFiniteOutcomeFailure(t *testing.T) {
 			t.Errorf("NDJSON batch with %s: first line %+v, want item 0's outcome", tc.value, first)
 		}
 	}
+
+	// Eight items on four workers encode as four chunks of two. With
+	// non-finite outcomes in two chunks, the 500 names the first in item
+	// order, whichever chunk finishes first.
+	h = NewHandler(Options{BatchWorkers: 4})
+	for _, tc := range []struct {
+		bad   map[int]int // item index → trials
+		value string
+	}{
+		{map[int]int{1: 4, 6: 2}, "+Inf"},
+		{map[int]int{2: 2, 7: 5}, "NaN"},
+		{map[int]int{3: 5, 4: 4}, "-Inf"},
+	} {
+		items := make([]string, 8)
+		for i := range items {
+			trials := 1
+			if bad, ok := tc.bad[i]; ok {
+				trials = bad
+			}
+			items[i] = `{"trials":` + strconv.Itoa(trials) + `}`
+		}
+		body := `{"backend":"stub-nonfinite","items":[` + strings.Join(items, ",") + `]}`
+		wantBody := `{"error":"json: unsupported value: ` + tc.value + `"}` + "\n"
+		if rec := serve(h, http.MethodPost, "/eval/batch", body); rec.Code != http.StatusInternalServerError || rec.Body.String() != wantBody {
+			t.Errorf("chunked batch with %v: %d %q, want 500 %q", tc.bad, rec.Code, rec.Body.String(), wantBody)
+		}
+	}
 }
