@@ -204,7 +204,7 @@ func Percentile(values []float64, q float64) float64 {
 	return sorted[idx]
 }
 
-// cacheCounters is the slice of /stats this tool reads: the three
+// cacheCounters is the slice of /stats this tool reads: the two
 // simcache sections' hit/miss counters.
 type cacheCounters struct {
 	Hits, Misses int64
@@ -224,7 +224,7 @@ func fetchCacheCounters(client *http.Client, base string) cacheCounters {
 		return cacheCounters{}
 	}
 	var total cacheCounters
-	for _, section := range []string{"web_eval", "sim_runs", "eval_outcomes"} {
+	for _, section := range []string{"web_eval", "sim_runs"} {
 		raw, ok := snap[section]
 		if !ok {
 			continue

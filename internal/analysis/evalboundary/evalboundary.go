@@ -3,10 +3,10 @@
 // this usecase?" through internal/eval (an Evaluator from the registry),
 // not by calling the execution backends directly. Direct calls to
 // simcache.Run, (*sim.System).Run, or (*core.Model).Evaluate /
-// EvaluateSerialized skip the canonical query fingerprint, the shared
-// outcome cache, the probe attachment point, and — most importantly — the
-// differential oracle's agreement bands, so analytic/sim divergence at such
-// a call site is invisible to CI.
+// EvaluateSerialized skip the canonical query fingerprint, the probe
+// attachment point, and — most importantly — the differential oracle's
+// agreement bands, so analytic/sim divergence at such a call site is
+// invisible to CI.
 //
 // The boundary has legitimate crossings: the eval package and the backends
 // themselves (internal/eval, internal/core, internal/simcache, the

@@ -1,9 +1,9 @@
 // Package fpfields cross-checks fingerprint encoders against the struct
 // definitions they encode. The repository's caches (internal/simcache, the
-// eval outcome caches, the web page cache) are content-addressed by
-// sim.Fingerprint / eval.Fingerprint; a Config or Query field the encoder
-// silently skips means two semantically different runs share one cache key
-// — stale hits that no test catches until results diverge. This analyzer
+// web page cache) are content-addressed by sim.Fingerprint /
+// eval.Fingerprint; a Config or Query field the encoder silently skips
+// means two semantically different runs share one cache key — stale hits
+// that no test catches until results diverge. This analyzer
 // makes fingerprint completeness a compile-time property.
 //
 // # Annotation contract

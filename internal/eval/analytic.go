@@ -2,8 +2,8 @@ package eval
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"math"
 
 	"github.com/gables-model/gables/internal/core"
 	"github.com/gables-model/gables/internal/kernel"
@@ -24,8 +24,8 @@ import (
 //     assembled by erb.DeriveGables from measured rooflines) whose IPs
 //     are matched to chip IPs by name.
 //
-// Outcomes are memoized in the shared eval outcome cache, keyed by the
-// canonical query fingerprint plus the model parameters.
+// Answers are not memoized: the closed form is a handful of divisions and
+// a max, cheaper to recompute than to fingerprint and look up.
 type Analytic struct {
 	model   *core.Model
 	ipNames []string // model IP index → chip IP name (injected mode)
@@ -71,8 +71,8 @@ func (a *Analytic) Supports(q Query) error {
 		return fmt.Errorf("eval: analytic backend cannot represent thermal throttling")
 	}
 	if a.model != nil {
-		if _, err := a.modelWork(q); err != nil {
-			return err
+		if name, ok := unknownModelIP(a.ipNames, q); ok {
+			return fmt.Errorf("eval: analytic model has no IP %q", name)
 		}
 	}
 	return nil
@@ -98,36 +98,9 @@ func effectiveLink(spec sim.IPSpec, p kernel.Pattern) float64 {
 	return spec.LinkBandwidth * 2 / (1 + spec.WritePenalty)
 }
 
-// modelWork maps the query's active work onto the injected model's IP
-// indices, returning a usecase work vector in model order.
-func (a *Analytic) modelWork(q Query) ([]core.Work, error) {
-	index := make(map[string]int, len(a.ipNames))
-	for i, name := range a.ipNames {
-		index[name] = i
-	}
-	work := make([]core.Work, len(a.ipNames))
-	total := q.TotalFlops()
-	for i, w := range q.Work {
-		if w.Words == 0 {
-			continue
-		}
-		name := q.Chip.IPs[i].Name
-		mi, ok := index[name]
-		if !ok {
-			return nil, fmt.Errorf("eval: analytic model has no IP %q", name)
-		}
-		flops := float64(w.Words) * float64(w.FlopsPerWord) * float64(q.trials())
-		work[mi] = core.Work{
-			Fraction:  flops / total,
-			Intensity: units.Intensity(float64(w.FlopsPerWord) / patternBytesPerWord(w.Pattern)),
-		}
-	}
-	return work, nil
-}
-
 // derive builds the per-query model from the chip's configured
-// parameters, plus the work vector in chip IP order.
-func (a *Analytic) derive(q Query) (*core.Model, []core.Work, []string, error) {
+// parameters, plus the chip IP names in model order.
+func (a *Analytic) derive(q Query) (*core.Model, []string) {
 	ref := q.Chip.IPs[0]
 	s := &core.SoC{
 		Name:            q.Chip.Name + "-analytic",
@@ -165,23 +138,12 @@ func (a *Analytic) derive(q Query) (*core.Model, []core.Work, []string, error) {
 			buses = append(buses, bus)
 		}
 	}
-	m := &core.Model{SoC: s, Buses: buses}
-	total := q.TotalFlops()
-	work := make([]core.Work, len(q.Chip.IPs))
-	for i, w := range q.Work {
-		if w.Words == 0 {
-			continue
-		}
-		flops := float64(w.Words) * float64(w.FlopsPerWord) * float64(q.trials())
-		work[i] = core.Work{
-			Fraction:  flops / total,
-			Intensity: units.Intensity(float64(w.FlopsPerWord) / patternBytesPerWord(w.Pattern)),
-		}
-	}
-	return m, work, names, nil
+	return &core.Model{SoC: s, Buses: buses}, names
 }
 
-// Evaluate implements Evaluator.
+// Evaluate implements Evaluator: the query is answered as a slab of one
+// through EvaluateBatch, so point and batch answers share one outcome
+// construction (emitOutcomes).
 func (a *Analytic) Evaluate(ctx context.Context, q Query) (*Outcome, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -189,85 +151,16 @@ func (a *Analytic) Evaluate(ctx context.Context, q Query) (*Outcome, error) {
 	if err := a.Supports(q); err != nil {
 		return nil, err
 	}
-	key, keyErr := a.outcomeKey(q)
-	if keyErr != nil {
-		return a.evaluate(q) // unkeyable models bypass the cache
-	}
-	o, err := outcomes.Get(key, func() (*Outcome, error) { return a.evaluate(q) })
-	if err != nil {
+	out := make([]Outcome, 1)
+	if err := a.EvaluateBatch(ctx, []Query{q}, out); err != nil {
+		// Strip the slab's "batch query 0" wrapping: a point query's
+		// error is the underlying one.
+		if inner := errors.Unwrap(err); inner != nil {
+			return nil, inner
+		}
 		return nil, err
 	}
-	return o.Clone(), nil
-}
-
-// outcomeKey keys the outcome cache: the canonical query fingerprint plus
-// everything else that determines the analytic answer (the model
-// parameters, which the chip fingerprint does not cover in injected mode).
-func (a *Analytic) outcomeKey(q Query) (string, error) {
-	fp, err := Fingerprint(q)
-	if err != nil {
-		return "", err
-	}
-	if a.model == nil {
-		return Key("analytic-outcome/v1", fp, "configured")
-	}
-	return Key("analytic-outcome/v1", fp, a.model.SoC, a.model.SRAM, a.model.Buses, a.ipNames)
-}
-
-func (a *Analytic) evaluate(q Query) (*Outcome, error) {
-	model, work, names := a.model, []core.Work(nil), a.ipNames
-	var err error
-	if model == nil {
-		model, work, names, err = a.derive(q)
-	} else {
-		work, err = a.modelWork(q)
-	}
-	if err != nil {
-		return nil, err
-	}
-	// TotalOps stays unset: Attainable is scale-invariant and the
-	// unit-work normalization keeps results bitwise identical to the
-	// historical direct model evaluations; Makespan is rescaled below.
-	u := &core.Usecase{Name: "eval-query", Work: work}
-	var res *core.Result
-	if q.Serialized {
-		res, err = model.EvaluateSerialized(u)
-	} else {
-		res, err = model.Evaluate(u)
-	}
-	if err != nil {
-		return nil, err
-	}
-	total := q.TotalFlops()
-	o := &Outcome{
-		Backend:    "analytic",
-		Fidelity:   FidelityAnalytic,
-		Attainable: float64(res.Attainable),
-		TotalFlops: total,
-		Bottleneck: canonicalBottleneck(res.Bottleneck),
-	}
-	if res.Attainable > 0 {
-		o.Makespan = total / float64(res.Attainable)
-	}
-	o.TieRatio = tieRatio(res)
-	// Per-IP detail for the active model IPs, reported under chip IP
-	// names, scaled from the unit-work breakdown to the query's total.
-	for mi, br := range res.IPs {
-		if u.Work[mi].Fraction == 0 {
-			continue
-		}
-		ip := IPOutcome{
-			IP:    names[mi],
-			Flops: u.Work[mi].Fraction * total,
-			Bytes: float64(br.Data) * total,
-			Time:  float64(br.Time) * total,
-		}
-		if ip.Time > 0 {
-			ip.Rate = ip.Flops / ip.Time
-		}
-		o.IPs = append(o.IPs, ip)
-	}
-	return o, nil
+	return &out[0], nil
 }
 
 // canonicalBottleneck translates a core.Component into the cross-backend
@@ -283,50 +176,7 @@ func canonicalBottleneck(c core.Component) Bottleneck {
 	}
 }
 
-// tieRatio measures how contested the analytic bottleneck is: the
-// second-largest constraint time over the largest, across per-IP times,
-// the memory term, and any bus terms. 1 means an exact tie; 0 means a
-// single constraint.
-func tieRatio(res *core.Result) float64 {
-	var times []float64
-	for _, br := range res.IPs {
-		if br.Time > 0 {
-			times = append(times, float64(br.Time))
-		}
-	}
-	if res.MemoryTime > 0 {
-		times = append(times, float64(res.MemoryTime))
-	}
-	for _, bt := range res.BusTimes {
-		if bt > 0 {
-			times = append(times, float64(bt))
-		}
-	}
-	if len(times) < 2 {
-		return 0
-	}
-	first, second := math.Inf(-1), math.Inf(-1)
-	for _, t := range times {
-		if t > first {
-			first, second = t, first
-		} else if t > second {
-			second = t
-		}
-	}
-	if first <= 0 {
-		return 0
-	}
-	return second / first
-}
-
-// outcomes is the shared eval-layer outcome cache (the simcache
-// integration every analytic-fidelity backend memoizes through; the sim
-// backend's memoization happens one level down, in simcache.Run, where
-// raw results are shared with the measurement harnesses).
-var outcomes = simcache.New[*Outcome](simcache.Options{Capacity: 2048})
-
-// CacheStats snapshots the shared outcome cache's counters.
-func CacheStats() simcache.Stats { return outcomes.Stats() }
-
-// ResetCache clears the shared outcome cache; tests use it for isolation.
-func ResetCache() { outcomes.Reset() }
+// CacheStats returns zero counters: analytic answers are not memoized.
+// It stays only for the benchmark's per-layer probe and goes away with
+// ROADMAP item 1.2's benchmark change.
+func CacheStats() simcache.Stats { return simcache.Stats{} }

@@ -14,9 +14,10 @@ import (
 // EvaluateBatch is the call sites' one entry point, with a point-wise
 // fallback so callers never need to know which backends implement the
 // fast path. The contract is strict: batch answers must be bitwise
-// identical to Evaluate on each query (pinned by
-// TestAnalyticBatchMatchesEvaluateBitwise), so migrating a grid onto the
-// batch path cannot change any artifact byte.
+// identical to Evaluate on each query, so migrating a grid onto the batch
+// path cannot change any artifact byte. The analytic backend's Evaluate
+// is itself a slab of one; TestAnalyticBatchMatchesEvaluateBitwise pins
+// its slabs against an outcome built from core.(*Model).Evaluate.
 
 // BatchEvaluator is optionally implemented by Evaluators that can answer
 // many queries in one planned pass over shared loop-invariant state.
@@ -54,10 +55,9 @@ func EvaluateBatch(ctx context.Context, ev Evaluator, qs []Query, out []Outcome)
 // derivation in configured mode, the core batch evaluator's hoisted
 // parameters, one IPOutcome arena for the whole slab) are computed once,
 // and the per-cell inner loop runs allocation-free under the
-// //gables:allocfree regime. Batch answers deliberately bypass the
-// point-query outcome cache: a grid would churn the bounded LRU, and
-// fingerprinting a cell costs more than the closed-form evaluation it
-// would deduplicate.
+// //gables:allocfree regime. Each query must pass Supports; its error
+// comes back wrapped with the query's index. Analytic.Evaluate answers a
+// point query as a slab of one.
 func (a *Analytic) EvaluateBatch(ctx context.Context, qs []Query, out []Outcome) error {
 	if len(out) != len(qs) {
 		return fmt.Errorf("eval: batch has %d queries but %d result slots", len(qs), len(out))
@@ -70,14 +70,8 @@ func (a *Analytic) EvaluateBatch(ctx context.Context, qs []Query, out []Outcome)
 	}
 	actives := 0
 	for i := range qs {
-		if err := qs[i].Validate(); err != nil {
+		if err := a.Supports(qs[i]); err != nil {
 			return fmt.Errorf("eval: batch query %d: %w", i, err)
-		}
-		if qs[i].Coordination {
-			return fmt.Errorf("eval: batch query %d: analytic backend cannot represent coordination overhead", i)
-		}
-		if qs[i].Thermal {
-			return fmt.Errorf("eval: batch query %d: analytic backend cannot represent thermal throttling", i)
 		}
 		for _, w := range qs[i].Work {
 			if w.Words != 0 {
@@ -106,10 +100,7 @@ func (a *Analytic) EvaluateBatch(ctx context.Context, qs []Query, out []Outcome)
 			hi++
 		}
 		run := order[lo:hi]
-		model, _, names, err := a.derive(qs[run[0]])
-		if err != nil {
-			return fmt.Errorf("eval: batch query %d: %w", run[0], err)
-		}
+		model, names := a.derive(qs[run[0]])
 		be, err := model.Batch()
 		if err != nil {
 			return fmt.Errorf("eval: batch query %d: %w", run[0], err)
@@ -178,7 +169,8 @@ func (a *Analytic) batchInjected(qs []Query, out []Outcome, arena []IPOutcome) e
 	cs := core.NewCells(nIP, len(qs))
 	res := core.NewCellResults(nIP, len(qs))
 	if bad, ok := a.fillInjected(qs, cs); !ok {
-		return fmt.Errorf("eval: batch query %d: analytic model has no IP %q", bad, unknownModelIP(a.ipNames, qs[bad]))
+		name, _ := unknownModelIP(a.ipNames, qs[bad])
+		return fmt.Errorf("eval: batch query %d: analytic model has no IP %q", bad, name)
 	}
 	all := make([]int, len(qs))
 	for i := range all {
@@ -192,8 +184,9 @@ func (a *Analytic) batchInjected(qs []Query, out []Outcome, arena []IPOutcome) e
 }
 
 // unknownModelIP names the first active chip IP of q that the injected
-// model does not cover (the error-path mirror of fillInjected's scan).
-func unknownModelIP(ipNames []string, q Query) string {
+// model does not cover, and reports whether there is one (Supports'
+// mirror of fillInjected's scan).
+func unknownModelIP(ipNames []string, q Query) (string, bool) {
 	for i, w := range q.Work {
 		if w.Words == 0 {
 			continue
@@ -206,10 +199,10 @@ func unknownModelIP(ipNames []string, q Query) string {
 			}
 		}
 		if !found {
-			return q.Chip.IPs[i].Name
+			return q.Chip.IPs[i].Name, true
 		}
 	}
-	return ""
+	return "", false
 }
 
 // sameDerivation reports whether two queries share every input of
@@ -239,8 +232,8 @@ func sameDerivation(a, b *Query) bool {
 }
 
 // fillConfigured fills one derivation run's work cells in chip IP order,
-// replicating derive's fraction/intensity arithmetic exactly; cell c is
-// query run[c].
+// with fi = flops_i/Σflops and Ii = FlopsPerWord/(bytes per word) as
+// IPWork documents them; cell c is query run[c].
 //
 //gables:allocfree
 func fillConfigured(qs []Query, run []int, cs *core.Cells) {
@@ -260,9 +253,10 @@ func fillConfigured(qs []Query, run []int, cs *core.Cells) {
 	}
 }
 
-// fillInjected fills work cells in injected-model IP order, replicating
-// modelWork's arithmetic; it returns the index of the first query naming
-// a chip IP outside the model, and false.
+// fillInjected fills work cells in injected-model IP order, with
+// fillConfigured's fraction/intensity arithmetic; it returns the index of
+// the first query naming a chip IP outside the model, and false (Supports
+// has already rejected such queries).
 //
 //gables:allocfree
 func (a *Analytic) fillInjected(qs []Query, cs *core.Cells) (int, bool) {
@@ -311,9 +305,9 @@ func evalCells(qs []Query, run []int, be *core.BatchEval, cs *core.Cells, res *c
 
 // emitOutcomes converts one run's cell results into Outcomes, writing
 // query run[c]'s answer to out[run[c]] and its per-IP detail into the
-// shared arena. It replicates Analytic.evaluate's outcome construction
-// term for term, so batch outcomes are bitwise identical to point
-// outcomes. Returns the advanced arena cursor.
+// shared arena. It is the analytic backend's one outcome construction,
+// point queries included; tests pin it bitwise against an outcome built
+// from core.(*Model).Evaluate. Returns the advanced arena cursor.
 //
 //gables:allocfree
 func emitOutcomes(qs []Query, run []int, names []string, cs *core.Cells, res *core.CellResults, arena []IPOutcome, cursor int, out []Outcome) int {

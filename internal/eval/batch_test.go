@@ -9,6 +9,7 @@ import (
 	"github.com/gables-model/gables/internal/core"
 	"github.com/gables-model/gables/internal/kernel"
 	"github.com/gables-model/gables/internal/sim"
+	"github.com/gables-model/gables/internal/units"
 )
 
 // batchQueries builds a mixed grid over one chip: fractions × intensities,
@@ -37,6 +38,126 @@ func batchQueries(t *testing.T, cfg sim.Config, cpu, accel string) []Query {
 	return qs
 }
 
+// referenceOutcome answers q through core.(*Model).Evaluate (or
+// EvaluateSerialized) on a unit-work usecase and assembles the Outcome
+// from the full core.Result, independently of the slab's cell kernel and
+// emitOutcomes. Every analytic answer must match it bitwise.
+func referenceOutcome(tb testing.TB, a *Analytic, q Query) *Outcome {
+	tb.Helper()
+	model, names := a.model, a.ipNames
+	if model == nil {
+		model, names = a.derive(q)
+	}
+	index := make(map[string]int, len(names))
+	for i, name := range names {
+		index[name] = i
+	}
+	total := q.TotalFlops()
+	work := make([]core.Work, len(names))
+	for i, w := range q.Work {
+		if w.Words == 0 {
+			continue
+		}
+		mi, ok := index[q.Chip.IPs[i].Name]
+		if !ok {
+			tb.Fatalf("reference: model has no IP %q", q.Chip.IPs[i].Name)
+		}
+		flops := float64(w.Words) * float64(w.FlopsPerWord) * float64(q.trials())
+		work[mi] = core.Work{
+			Fraction:  flops / total,
+			Intensity: units.Intensity(float64(w.FlopsPerWord) / patternBytesPerWord(w.Pattern)),
+		}
+	}
+	// TotalOps stays unset: the unit-work breakdown is rescaled to the
+	// query's total below, as the slab does.
+	u := &core.Usecase{Name: "eval-query", Work: work}
+	var res *core.Result
+	var err error
+	if q.Serialized {
+		res, err = model.EvaluateSerialized(u)
+	} else {
+		res, err = model.Evaluate(u)
+	}
+	if err != nil {
+		tb.Fatalf("reference: %v", err)
+	}
+	o := &Outcome{
+		Backend:    "analytic",
+		Fidelity:   FidelityAnalytic,
+		Attainable: float64(res.Attainable),
+		TotalFlops: total,
+		Bottleneck: canonicalBottleneck(res.Bottleneck),
+		TieRatio:   referenceTieRatio(res),
+	}
+	if res.Attainable > 0 {
+		o.Makespan = total / float64(res.Attainable)
+	}
+	for mi, br := range res.IPs {
+		if work[mi].Fraction == 0 {
+			continue
+		}
+		ip := IPOutcome{
+			IP:    names[mi],
+			Flops: work[mi].Fraction * total,
+			Bytes: float64(br.Data) * total,
+			Time:  float64(br.Time) * total,
+		}
+		if ip.Time > 0 {
+			ip.Rate = ip.Flops / ip.Time
+		}
+		o.IPs = append(o.IPs, ip)
+	}
+	return o
+}
+
+// referenceTieRatio is the second-largest constraint time over the
+// largest, across per-IP times, the memory term and any bus terms; 0 with
+// fewer than two constraints.
+func referenceTieRatio(res *core.Result) float64 {
+	var times []float64
+	for _, br := range res.IPs {
+		if br.Time > 0 {
+			times = append(times, float64(br.Time))
+		}
+	}
+	if res.MemoryTime > 0 {
+		times = append(times, float64(res.MemoryTime))
+	}
+	for _, bt := range res.BusTimes {
+		if bt > 0 {
+			times = append(times, float64(bt))
+		}
+	}
+	if len(times) < 2 {
+		return 0
+	}
+	first, second := math.Inf(-1), math.Inf(-1)
+	for _, t := range times {
+		if t > first {
+			first, second = t, first
+		} else if t > second {
+			second = t
+		}
+	}
+	if first <= 0 {
+		return 0
+	}
+	return second / first
+}
+
+// checkPointMatchesReference pins the point API, a slab of one, against
+// the reference on every query of qs.
+func checkPointMatchesReference(t *testing.T, a *Analytic, qs []Query) {
+	t.Helper()
+	for i := range qs {
+		got, err := a.Evaluate(context.Background(), qs[i])
+		if err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+		outcomesBitEq(t, "point "+qs[i].Chip.Name, *got, referenceOutcome(t, a, qs[i]))
+	}
+}
+
 // outcomesBitEq compares two outcomes field by field with bitwise float
 // equality.
 func outcomesBitEq(t *testing.T, label string, got Outcome, want *Outcome) {
@@ -44,7 +165,7 @@ func outcomesBitEq(t *testing.T, label string, got Outcome, want *Outcome) {
 	feq := func(name string, g, w float64) {
 		t.Helper()
 		if math.Float64bits(g) != math.Float64bits(w) {
-			t.Errorf("%s: %s = %v (%x), point API %v (%x)", label, name, g, math.Float64bits(g), w, math.Float64bits(w))
+			t.Errorf("%s: %s = %v (%x), reference %v (%x)", label, name, g, math.Float64bits(g), w, math.Float64bits(w))
 		}
 	}
 	if got.Backend != want.Backend || got.Fidelity != want.Fidelity {
@@ -73,13 +194,12 @@ func outcomesBitEq(t *testing.T, label string, got Outcome, want *Outcome) {
 }
 
 // TestAnalyticBatchMatchesEvaluateBitwise pins the BatchEvaluator
-// contract for both analytic modes: every batch outcome is bitwise
-// identical to the point API's answer for the same query.
+// contract for both analytic modes: every batch outcome, and every point
+// answer, is bitwise identical to referenceOutcome's for the same query.
 func TestAnalyticBatchMatchesEvaluateBitwise(t *testing.T) {
 	ctx := context.Background()
 
 	t.Run("configured", func(t *testing.T) {
-		ResetCache()
 		a := NewAnalytic()
 		// Interleave two chips so the derivation grouping has to split
 		// and re-derive mid-slab.
@@ -91,16 +211,12 @@ func TestAnalyticBatchMatchesEvaluateBitwise(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := range qs {
-			want, err := a.Evaluate(ctx, qs[i])
-			if err != nil {
-				t.Fatalf("query %d: %v", i, err)
-			}
-			outcomesBitEq(t, qs[i].Chip.Name, out[i], want)
+			outcomesBitEq(t, qs[i].Chip.Name, out[i], referenceOutcome(t, a, qs[i]))
 		}
+		checkPointMatchesReference(t, a, qs)
 	})
 
 	t.Run("injected", func(t *testing.T) {
-		ResetCache()
 		soc, err := core.TwoIP("cal", 4e9, 12e9, 6, 8e9, 30e9)
 		if err != nil {
 			t.Fatal(err)
@@ -119,12 +235,9 @@ func TestAnalyticBatchMatchesEvaluateBitwise(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := range qs {
-			want, err := a.Evaluate(ctx, qs[i])
-			if err != nil {
-				t.Fatalf("query %d: %v", i, err)
-			}
-			outcomesBitEq(t, "injected", out[i], want)
+			outcomesBitEq(t, "injected", out[i], referenceOutcome(t, a, qs[i]))
 		}
+		checkPointMatchesReference(t, a, qs)
 	})
 }
 
@@ -264,7 +377,7 @@ func derivationRuns(qs []Query) int {
 
 // TestAnalyticBatchMixedChips pins derivation grouping on a shuffled
 // three-chip slab: every outcome, per-IP detail included, is bitwise the
-// point answer, and the slab derives one model per chip however its
+// reference answer, and the slab derives one model per chip however its
 // queries interleave — so the batch's allocations do not grow with it.
 func TestAnalyticBatchMixedChips(t *testing.T) {
 	ctx := context.Background()
@@ -275,11 +388,7 @@ func TestAnalyticBatchMixedChips(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range qs {
-		want, err := a.Evaluate(ctx, qs[i])
-		if err != nil {
-			t.Fatalf("query %d: %v", i, err)
-		}
-		outcomesBitEq(t, qs[i].Chip.Name, out[i], want)
+		outcomesBitEq(t, qs[i].Chip.Name, out[i], referenceOutcome(t, a, qs[i]))
 	}
 
 	if got := derivationRuns(qs); got != 3 {

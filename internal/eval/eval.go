@@ -256,17 +256,6 @@ func (o *Outcome) AppendJSON(w *jsonenc.Writer) {
 	w.EndObject()
 }
 
-// Clone returns a deep copy; cache-resident outcomes stay immutable.
-func (o *Outcome) Clone() *Outcome {
-	cp := *o
-	cp.IPs = append([]IPOutcome(nil), o.IPs...)
-	if o.Confidence != nil {
-		conf := *o.Confidence
-		cp.Confidence = &conf
-	}
-	return &cp
-}
-
 // Evaluator answers Queries at some fidelity. Implementations must be
 // safe for concurrent use and deterministic: equal queries (by
 // Fingerprint) get bitwise-equal Outcomes.

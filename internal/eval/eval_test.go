@@ -268,33 +268,101 @@ func TestAnalyticSupports(t *testing.T) {
 	}
 }
 
-// TestOutcomeCache pins the analytic backend's memoization through the
-// shared eval outcome cache.
-func TestOutcomeCache(t *testing.T) {
-	ResetCache()
-	t.Cleanup(ResetCache)
-	ev := NewAnalytic()
+// TestAnalyticEvaluateErrors pins the point API's error texts: each
+// rejection reads exactly as it did when Evaluate assembled its own
+// outcome, without the slab's "batch query 0" wrapping.
+func TestAnalyticEvaluateErrors(t *testing.T) {
+	soc, err := core.TwoIP("cal", 4e9, 12e9, 6, 8e9, 30e9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	injected, err := NewAnalyticModel(&core.Model{SoC: soc}, []string{"CPU", "GPU"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	badSRAM, err := NewAnalyticModel(&core.Model{
+		SoC:  soc,
+		SRAM: &core.SRAM{Name: "cache", MissRatio: []float64{0.4, 2}},
+	}, []string{"CPU", "GPU"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// query returns a CPU+GPU query on a private Snapdragon 835 preset,
+	// edited by mod.
+	query := func(mod func(*Query)) Query {
+		q := twoIPQuery(t, 0.5, 32)
+		mod(&q)
+		return q
+	}
+	for _, tc := range []struct {
+		name string
+		a    *Analytic
+		q    Query
+		want string
+	}{
+		{"no work", NewAnalytic(), query(func(q *Query) { q.Work = nil }),
+			"eval: query has 0 work entries for 3 chip IPs"},
+		{"negative words", NewAnalytic(), query(func(q *Query) { q.Work[1].Words = -1 }),
+			`eval: IP "GPU": negative word count -1`},
+		{"coordination", NewAnalytic(), query(func(q *Query) { q.Coordination = true }),
+			"eval: analytic backend cannot represent coordination overhead"},
+		{"thermal", NewAnalytic(), query(func(q *Query) { q.Thermal = true }),
+			"eval: analytic backend cannot represent thermal throttling"},
+		{"unknown injected IP", injected, query(func(q *Query) { q.Work[2] = q.Work[1] }),
+			`eval: analytic model has no IP "DSP"`},
+		{"zero DRAM bandwidth", NewAnalytic(), query(func(q *Query) { q.Chip.DRAMBandwidth = 0 }),
+			`gables: SoC "snapdragon-835-sim-analytic": Bpeak must be positive, got 0`},
+		{"zero fabric bandwidth", NewAnalytic(), query(func(q *Query) { q.Chip.Fabrics[1].Bandwidth = 0 }),
+			`gables: bus[1] "system": bandwidth must be positive, got 0`},
+		{"zero link bandwidth", NewAnalytic(), query(func(q *Query) { q.Chip.IPs[1].LinkBandwidth = 0 }),
+			`gables: SoC "snapdragon-835-sim-analytic": IP[1] (GPU): bandwidth must be positive, got 0`},
+		{"invalid injected SRAM", badSRAM, query(func(*Query) {}),
+			`gables: SRAM "cache": miss ratio m[1] must be in [0,1], got 2`},
+	} {
+		o, err := tc.a.Evaluate(context.Background(), tc.q)
+		if err == nil {
+			t.Errorf("%s: accepted, got %+v", tc.name, o)
+			continue
+		}
+		if err.Error() != tc.want {
+			t.Errorf("%s: error %q, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// pointAllocCeiling is the measured allocation count of one
+// configured-mode Analytic.Evaluate: the slab of one derives the model,
+// hoists its batch evaluator and sizes its arenas on every call.
+const pointAllocCeiling = 36
+
+// TestAnalyticEvaluateAllocs pins the point path's allocations and that
+// each answer is the caller's own: mutating a returned outcome does not
+// change the next one.
+func TestAnalyticEvaluateAllocs(t *testing.T) {
+	ctx := context.Background()
+	a := NewAnalytic()
 	q := twoIPQuery(t, 0.625, 32)
-	a, err := ev.Evaluate(context.Background(), q)
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := a.Evaluate(ctx, q); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > pointAllocCeiling {
+		t.Errorf("Analytic.Evaluate allocates %v times, ceiling %d", allocs, pointAllocCeiling)
+	}
+
+	first, err := a.Evaluate(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ev.Evaluate(context.Background(), q)
+	want := first.IPs[0].Rate
+	first.IPs[0].Rate = -1
+	next, err := a.Evaluate(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := CacheStats()
-	if s.Misses != 1 || s.Hits != 1 {
-		t.Errorf("outcome cache stats = %+v, want one miss then one hit", s)
-	}
-	if a.Attainable != b.Attainable {
-		t.Error("cached outcome disagrees")
-	}
-	// Cached outcomes are cloned: mutating one must not poison the next.
-	b.IPs[0].Rate = -1
-	c, _ := ev.Evaluate(context.Background(), q)
-	if c.IPs[0].Rate == -1 {
-		t.Error("cache-resident outcome was mutated through a returned clone")
+	if next.IPs[0].Rate != want {
+		t.Errorf("mutating a returned outcome changed the next answer: IPs[0].Rate %v, want %v", next.IPs[0].Rate, want)
 	}
 }
 

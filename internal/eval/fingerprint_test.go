@@ -12,9 +12,9 @@ import (
 )
 
 // TestFingerprintGolden pins the exact hex of eval.Fingerprint for every
-// chip preset on two work shapes, serialized and not. The keys address
-// outcome caches and the web page cache, so an encoding change that is not
-// a deliberate FingerprintVersion bump must fail here.
+// chip preset on two work shapes, serialized and not. The keys are part of
+// every /eval and /eval/batch answer, so an encoding change that is not a
+// deliberate FingerprintVersion bump must fail here.
 func TestFingerprintGolden(t *testing.T) {
 	presets := []struct {
 		name string

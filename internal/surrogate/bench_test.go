@@ -46,7 +46,7 @@ func BenchmarkSurrogateEvaluate(b *testing.B) {
 }
 
 // BenchmarkSurrogateSimCold is the same query through the sim backend with
-// a cold outcome cache every iteration: the cost the surrogate's fast path
+// a cold simulation cache every iteration: the cost the surrogate's fast path
 // replaces. BenchmarkSurrogateEvaluate / BenchmarkSurrogateSimCold is the
 // speedup gables-bench floors at 100×.
 func BenchmarkSurrogateSimCold(b *testing.B) {

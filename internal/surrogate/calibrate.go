@@ -705,8 +705,9 @@ func canonicalBottleneck(comp core.Component) eval.Bottleneck {
 	}
 }
 
-// tieRatio mirrors eval's analytic tie measure: the second-tightest
-// constraint time over the tightest.
+// tieRatio is the analytic tie measure eval reports as TieRatio: the
+// second-tightest constraint time over the tightest (core's batch kernel
+// computes it from CellResults.TopTime and SecondTime).
 func tieRatio(res *core.Result) float64 {
 	var times []float64
 	for _, br := range res.IPs {

@@ -75,11 +75,10 @@ func (s *server) statsHandler(w http.ResponseWriter, r *http.Request) {
 	snapshot := struct {
 		Web       simcache.Stats    `json:"web_eval"`
 		Sim       simcache.Stats    `json:"sim_runs"`
-		Eval      simcache.Stats    `json:"eval_outcomes"`
 		Trace     trace.GlobalStats `json:"trace"`
 		Surrogate surrogate.Stats   `json:"surrogate"`
 		Admission AdmissionStats    `json:"admission"`
-	}{Web: evalCache.Stats(), Sim: simcache.DefaultStats(), Eval: eval.CacheStats(), Trace: trace.Stats(), Surrogate: surrogate.DefaultStats(), Admission: s.adm.Stats()}
+	}{Web: evalCache.Stats(), Sim: simcache.DefaultStats(), Trace: trace.Stats(), Surrogate: surrogate.DefaultStats(), Admission: s.adm.Stats()}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
