@@ -12,8 +12,7 @@
 // Each phase records request counts (ok / shed / failed), p50 and p99
 // latency, the shed rate, and the server-side cache hit/miss deltas read
 // from /stats. A Record tagged with the git SHA and Go version is
-// appended to BENCH_serve.json — the serving counterpart of
-// gables-bench's BENCH_sim.json; DESIGN.md §13 describes how to read it.
+// appended to BENCH_serve.json; DESIGN.md §13 describes how to read it.
 //
 // Usage:
 //
@@ -309,7 +308,7 @@ func runPhase(client *http.Client, base, phase string, reqs []request, rate floa
 }
 
 // gitSHA resolves HEAD (suffixed -dirty on a modified worktree), or
-// "unknown" outside a git checkout — the gables-bench convention.
+// "unknown" outside a git checkout.
 func gitSHA() string {
 	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
 	if err != nil {

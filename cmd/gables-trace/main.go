@@ -4,9 +4,9 @@
 // chrome://tracing rely on — a non-empty traceEvents array, name/ph/pid/tid
 // on every event, finite non-negative timestamps, durations on complete
 // events, arguments on counters, balanced begin/end nesting per track —
-// and prints a one-line summary per file. CI runs it over the traced
-// perf-smoke artifact so a malformed exporter fails the build rather than
-// the first person to open a trace.
+// and prints a one-line summary per file. CI runs it over a traced smoke
+// run so a malformed exporter fails the build rather than the first person
+// to open a trace.
 //
 // Usage:
 //

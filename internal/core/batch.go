@@ -89,21 +89,31 @@ type CellResults struct {
 	IPTime []float64
 }
 
-// NewCellResults returns an arena sized for the given cell count.
+// NewCellResults returns an arena sized for the given cell count. The
+// float64 fields are capacity-capped windows of one backing array, so an
+// arena costs at most three allocations whatever its size; an append to
+// one field reallocates it instead of spilling into its neighbour.
 func NewCellResults(ips, cells int) *CellResults {
-	return &CellResults{
-		IPs:           ips,
-		Attainable:    make([]float64, cells),
-		Time:          make([]float64, cells),
-		Bottleneck:    make([]Component, cells),
-		MemoryTime:    make([]float64, cells),
-		MemoryTraffic: make([]float64, cells),
-		AvgIntensity:  make([]float64, cells),
-		TopTime:       make([]float64, cells),
-		SecondTime:    make([]float64, cells),
-		IPData:        make([]float64, ips*cells),
-		IPTime:        make([]float64, ips*cells),
+	r := &CellResults{IPs: ips, Bottleneck: make([]Component, cells)}
+	r.carve(cells)
+	return r
+}
+
+// carve points the float64 fields at consecutive windows of one new
+// array. It is split from NewCellResults to keep that small enough to
+// inline, so an arena that does not escape its caller keeps its header
+// off the heap.
+func (r *CellResults) carve(cells int) {
+	buf := make([]float64, (7+2*r.IPs)*cells)
+	next := func(n int) []float64 {
+		s := buf[:n:n]
+		buf = buf[n:]
+		return s
 	}
+	r.Attainable, r.Time = next(cells), next(cells)
+	r.MemoryTime, r.MemoryTraffic = next(cells), next(cells)
+	r.AvgIntensity, r.TopTime, r.SecondTime = next(cells), next(cells), next(cells)
+	r.IPData, r.IPTime = next(r.IPs*cells), next(r.IPs*cells)
 }
 
 // Len returns the arena's cell capacity.

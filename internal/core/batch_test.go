@@ -265,3 +265,35 @@ func TestBatchEvaluateZeroAlloc(t *testing.T) {
 		}
 	}
 }
+
+// TestCellResultsArena pins NewCellResults at three allocations, for an
+// arena that escapes, and that its float64 windows neither overlap nor
+// leave room to append into a neighbour.
+func TestCellResultsArena(t *testing.T) {
+	var res *CellResults
+	if allocs := testing.AllocsPerRun(20, func() { res = NewCellResults(3, 64) }); allocs != 3 {
+		t.Errorf("NewCellResults allocates %v times, want 3", allocs)
+	}
+	res = NewCellResults(3, 4)
+	fields := [][]float64{res.Attainable, res.Time, res.MemoryTime, res.MemoryTraffic,
+		res.AvgIntensity, res.TopTime, res.SecondTime, res.IPData, res.IPTime}
+	for k, f := range fields {
+		for i := range f {
+			f[i] = float64(k + 1)
+		}
+	}
+	for k, f := range fields {
+		want := 4
+		if k >= 7 {
+			want = 12
+		}
+		if len(f) != want || cap(f) != want {
+			t.Errorf("field %d: len %d cap %d, want %d", k, len(f), cap(f), want)
+		}
+		for i, v := range f {
+			if v != float64(k+1) {
+				t.Fatalf("field %d[%d] = %v: windows overlap", k, i, v)
+			}
+		}
+	}
+}

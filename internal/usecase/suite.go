@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"math"
 
-	"github.com/gables-model/gables/internal/eval"
 	"github.com/gables-model/gables/internal/parallel"
-	"github.com/gables-model/gables/internal/simcache"
 	"github.com/gables-model/gables/internal/soc"
 )
 
@@ -75,7 +73,7 @@ func AnalyzeSuite(chip *soc.Chip, reqs []Requirement) (*SuiteReport, error) {
 	// deterministic at any pool size.
 	entries, err := parallel.Map(context.Background(), 0, reqs,
 		func(_ context.Context, i int, req Requirement) (SuiteEntry, error) {
-			maxRate, limiter, err := maxRateCached(req.Graph, chip)
+			maxRate, limiter, err := MaxRate(req.Graph, chip)
 			if err != nil {
 				return SuiteEntry{}, fmt.Errorf("usecase: requirement %d (%s): %w", i, req.Graph.Name, err)
 			}
@@ -104,37 +102,6 @@ func AnalyzeSuite(chip *soc.Chip, reqs []Requirement) (*SuiteReport, error) {
 		}
 	}
 	return rep, nil
-}
-
-// rateCache memoizes MaxRate across suite analyses: experiment suites and
-// design-space sweeps re-evaluate the same (graph, chip) pairs many times.
-// Keys derive through eval.Key, the evaluation layer's shared
-// content-addressing scheme (plain exported structs, so the canonical JSON
-// covers every field); the "/v2" label is the schema version — bumped for
-// the deterministic limiter tie-break — and must be bumped again whenever
-// Graph, Stage, or the analysis semantics change.
-var rateCache = simcache.New[rated](simcache.Options{Capacity: 1024})
-
-type rated struct {
-	Rate    float64
-	Limiter string
-}
-
-func maxRateCached(g *Graph, chip *soc.Chip) (float64, string, error) {
-	key, err := eval.Key("usecase-maxrate/v2", g, chip)
-	if err != nil {
-		// Unkeyable inputs (non-finite floats) bypass the cache.
-		rate, limiter, err := MaxRate(g, chip)
-		return rate, limiter, err
-	}
-	r, err := rateCache.Get(key, func() (rated, error) {
-		rate, limiter, err := MaxRate(g, chip)
-		return rated{Rate: rate, Limiter: limiter}, err
-	})
-	if err != nil {
-		return 0, "", err
-	}
-	return r.Rate, r.Limiter, nil
 }
 
 // StandardSuite returns a representative phone workload suite at sensible
