@@ -168,15 +168,24 @@ func (m *Model) Batch() (*BatchEval, error) {
 			return nil, err
 		}
 	}
+	// The per-IP slices are capacity-capped windows of one backing
+	// array, and the buses' user masks of another, as in NewCellResults.
+	n := len(s.IPs)
+	f := make([]float64, 4*n)
+	next := func() []float64 {
+		w := f[:n:n]
+		f = f[n:]
+		return w
+	}
 	be := &BatchEval{
-		nIP:      len(s.IPs),
+		nIP:      n,
 		ppeak:    float64(s.Peak),
 		memBW:    float64(s.MemoryBandwidth),
-		peak:     make([]float64, len(s.IPs)),
-		bw:       make([]float64, len(s.IPs)),
-		miss:     make([]float64, len(s.IPs)),
-		busScale: make([]float64, len(s.IPs)),
-		names:    make([]string, len(s.IPs)),
+		peak:     next(),
+		bw:       next(),
+		miss:     next(),
+		busScale: next(),
+		names:    make([]string, n),
 	}
 	for i, ip := range s.IPs {
 		// The same expression IP.Peak evaluates, hoisted: bitwise
@@ -189,8 +198,9 @@ func (m *Model) Batch() (*BatchEval, error) {
 		be.names[i] = ip.Name
 	}
 	be.buses = make([]batchBus, len(m.Buses))
+	users := make([]bool, len(m.Buses)*n)
 	for j, bus := range m.Buses {
-		bb := batchBus{name: bus.Name, bw: float64(bus.Bandwidth), user: make([]bool, len(s.IPs))}
+		bb := batchBus{name: bus.Name, bw: float64(bus.Bandwidth), user: users[j*n : (j+1)*n : (j+1)*n]}
 		for _, u := range bus.Users {
 			bb.user[u] = true
 		}

@@ -8,6 +8,7 @@ import (
 	"github.com/gables-model/gables/internal/core"
 	"github.com/gables-model/gables/internal/kernel"
 	"github.com/gables-model/gables/internal/sim"
+	"github.com/gables-model/gables/internal/sim/noc"
 	"github.com/gables-model/gables/internal/simcache"
 	"github.com/gables-model/gables/internal/units"
 )
@@ -118,27 +119,42 @@ func (a *Analytic) derive(q Query) (*core.Model, []string) {
 		}
 	}
 	// One §V-B bus per fabric: an IP uses every fabric on its path to
-	// the memory controller.
-	var buses []core.Bus
-	parent := make(map[string]string, len(q.Chip.Fabrics))
+	// the memory controller. The fabric tree is a handful of entries, so
+	// a parent lookup scans it, and every bus's Users is a capacity-capped
+	// window of one backing array.
+	buses := make([]core.Bus, 0, len(q.Chip.Fabrics))
+	users := make([]int, 0, len(q.Chip.Fabrics)*len(q.Chip.IPs))
 	for _, f := range q.Chip.Fabrics {
-		parent[f.Name] = f.Parent
-	}
-	for _, f := range q.Chip.Fabrics {
-		bus := core.Bus{Name: f.Name, Bandwidth: units.BytesPerSec(f.Bandwidth)}
+		start := len(users)
 		for i, spec := range q.Chip.IPs {
-			for fab := spec.Fabric; fab != ""; fab = parent[fab] {
+			for fab := spec.Fabric; fab != ""; fab = fabricParent(q.Chip.Fabrics, fab) {
 				if fab == f.Name {
-					bus.Users = append(bus.Users, i)
+					users = append(users, i)
 					break
 				}
 			}
 		}
-		if len(bus.Users) > 0 {
-			buses = append(buses, bus)
+		if len(users) > start {
+			buses = append(buses, core.Bus{
+				Name:      f.Name,
+				Bandwidth: units.BytesPerSec(f.Bandwidth),
+				Users:     users[start:len(users):len(users)],
+			})
 		}
 	}
 	return &core.Model{SoC: s, Buses: buses}, names
+}
+
+// fabricParent returns the parent of the named fabric: "" at the root or
+// for a name the chip does not declare, which ends a path walk either way.
+// The last declaration of a name wins.
+func fabricParent(fabrics []noc.FabricSpec, name string) string {
+	for i := len(fabrics) - 1; i >= 0; i-- {
+		if fabrics[i].Name == name {
+			return fabrics[i].Parent
+		}
+	}
+	return ""
 }
 
 // Evaluate implements Evaluator: the query is answered as a slab of one

@@ -333,7 +333,7 @@ func TestAnalyticEvaluateErrors(t *testing.T) {
 // pointAllocCeiling is the measured allocation count of one
 // configured-mode Analytic.Evaluate: the slab of one derives the model,
 // hoists its batch evaluator and sizes its arenas on every call.
-const pointAllocCeiling = 28
+const pointAllocCeiling = 20
 
 // TestAnalyticEvaluateAllocs pins the point path's allocations and that
 // each answer is the caller's own: mutating a returned outcome does not

@@ -29,7 +29,12 @@ const FingerprintVersion = 1
 // serialized-execution flag).
 //
 //fp:encoder
-func Fingerprint(q Query) (string, error) {
+func Fingerprint(q Query) (string, error) { return FingerprintFrom(nil, q) }
+
+// FingerprintFrom returns Fingerprint(q), hashing the inner run
+// fingerprint's chip half from p's midstate when q.Chip is still
+// sim.ConfigEqual to p's chip, and in full otherwise or when p is nil.
+func FingerprintFrom(p *sim.FingerprintPrefix, q Query) (string, error) {
 	if err := q.Validate(); err != nil {
 		return "", err
 	}
@@ -48,7 +53,7 @@ func Fingerprint(q Query) (string, error) {
 		b = append(b, 0)
 	}
 	b = binary.LittleEndian.AppendUint64(b, sim.FingerprintLen)
-	b = sim.AppendFingerprint(b, q.Chip, as, q.runOptions())
+	b = p.AppendFingerprint(b, q.Chip, as, q.runOptions())
 	sum := sha256.Sum256(b)
 	var out [2 * sha256.Size]byte
 	hex.Encode(out[:], sum[:])

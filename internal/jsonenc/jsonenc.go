@@ -108,6 +108,14 @@ func (w *Writer) Float(f float64) {
 		}
 		return
 	}
+	// An integer below 2^53 in magnitude prints its exact digits in the
+	// shortest 'f' form, which AppendInt writes without the shortest-digit
+	// search. The bit comparison also sends −0, whose bits differ from
+	// 0's, on to AppendFloat's "-0".
+	if i := int64(f); math.Float64bits(float64(i)) == math.Float64bits(f) && i > -1<<53 && i < 1<<53 {
+		w.buf = strconv.AppendInt(w.buf, i, 10)
+		return
+	}
 	format := byte('f')
 	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'

@@ -39,6 +39,30 @@ func TestFloatMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
+// TestFloatIntegerPathMatchesEncodingJSON covers the AppendInt path for
+// exact integers below 2^53 and the values on both sides of its edges:
+// −0, 2^53 itself, integers past it that only AppendFloat may shorten,
+// and 'e' form from 1e21.
+func TestFloatIntegerPathMatchesEncodingJSON(t *testing.T) {
+	const p53 = 1 << 53
+	fs := []float64{0, math.Copysign(0, -1), 1, -1, p53 - 1, -(p53 - 1), p53, -p53, p53 + 2, -(p53 + 2),
+		1e15, 1e20, 1e21, 0.5}
+	for k := 0; k < 64; k++ {
+		for d := -3.0; d <= 3; d++ {
+			v := math.Ldexp(1, k) + d
+			fs = append(fs, v, -v)
+		}
+	}
+	for _, f := range fs {
+		var w Writer
+		w.Float(f)
+		w.End()
+		if want := std(t, f, false); !bytes.Equal(w.Bytes(), want) || w.Err() != nil {
+			t.Errorf("Float(%v) = %q (err %v), want %q", f, w.Bytes(), w.Err(), want)
+		}
+	}
+}
+
 func TestNonFiniteFloatError(t *testing.T) {
 	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		var w Writer

@@ -38,11 +38,15 @@ package sim
 
 import (
 	"crypto/sha256"
+	"encoding"
 	"encoding/binary"
 	"encoding/hex"
+	"hash"
 	"math"
+	"sync"
 
 	"github.com/gables-model/gables/internal/kernel"
+	"github.com/gables-model/gables/internal/sim/noc"
 	"github.com/gables-model/gables/internal/sim/thermal"
 )
 
@@ -80,10 +84,15 @@ func AppendFingerprint(dst []byte, cfg Config, assignments []Assignment, opt Run
 	// The canonical stream is built in one buffer (the presets' streams
 	// fit the stack array) and hashed in one call.
 	var stack [1024]byte
-	b := fpBuf(stack[:0])
-	b = b.uint64(FingerprintVersion)
+	b := appendRunStream(appendConfigStream(stack[:0], cfg), assignments, opt)
+	sum := sha256.Sum256(b)
+	return hex.AppendEncode(dst, sum[:])
+}
 
-	// Config, declaration order.
+// appendConfigStream appends the stream's config half: the version, then
+// the Config in declaration order. A FingerprintPrefix hashes it once.
+func appendConfigStream(b fpBuf, cfg Config) fpBuf {
+	b = b.uint64(FingerprintVersion)
 	b = b.str(cfg.Name)
 	b = b.f64(cfg.DRAMBandwidth)
 	b = b.uint64(uint64(len(cfg.Fabrics)))
@@ -107,8 +116,12 @@ func AppendFingerprint(dst []byte, cfg Config, assignments []Assignment, opt Run
 		b = b.str(spec.Fabric)
 	}
 	b = b.str(cfg.Host)
-	b = b.thermal(cfg.Thermal)
+	return b.thermal(cfg.Thermal)
+}
 
+// appendRunStream appends the stream's run half: the assignments, then
+// the options.
+func appendRunStream(b fpBuf, assignments []Assignment, opt RunOptions) fpBuf {
 	// Assignments, in order: order is semantically meaningful (results
 	// come back assignment-ordered and ties in the engine break by
 	// schedule order).
@@ -130,10 +143,142 @@ func AppendFingerprint(dst []byte, cfg Config, assignments []Assignment, opt Run
 	if maxEvents == 0 {
 		maxEvents = DefaultMaxEvents
 	}
-	b = b.uint64(uint64(maxEvents))
+	return b.uint64(uint64(maxEvents))
+}
 
-	sum := sha256.Sum256(b)
-	return hex.AppendEncode(dst, sum[:])
+// FingerprintPrefix holds one Config's SHA-256 midstate: the hash state
+// after the stream's config half, so a run on that Config hashes only
+// its run half. It keeps a deep copy of the Config and resumes only for
+// a Config that is ConfigEqual to the copy, so a later write through the
+// caller's shared backing falls back to the full hash instead of
+// answering with a stale key. Use it through a pointer.
+type FingerprintPrefix struct {
+	cfg   Config
+	state []byte // the marshaled midstate; nil when the hash cannot resume
+	// digests recycles resumable digests and their scratch: a digest
+	// behind the hash.Hash interface escapes, so a fresh one per call
+	// would cost allocations the midstate is meant to save.
+	digests sync.Pool
+}
+
+// resumableHash is a hash whose state can be saved and restored, as
+// sha256.New's is.
+type resumableHash interface {
+	hash.Hash
+	encoding.BinaryMarshaler
+	encoding.BinaryUnmarshaler
+}
+
+// resumable is one pooled digest and the buffers its calls write into.
+type resumable struct {
+	h   resumableHash
+	buf []byte
+	sum [sha256.Size]byte
+}
+
+// NewFingerprintPrefix hashes cfg's config half once and keeps the
+// midstate for AppendFingerprint.
+func NewFingerprintPrefix(cfg Config) *FingerprintPrefix {
+	p := &FingerprintPrefix{cfg: cloneConfig(cfg)}
+	h, ok := sha256.New().(resumableHash)
+	if !ok {
+		return p
+	}
+	h.Write(appendConfigStream(nil, cfg))
+	if state, err := h.MarshalBinary(); err == nil {
+		p.state = state
+	}
+	return p
+}
+
+// AppendFingerprint appends the package-level AppendFingerprint's bytes
+// for (cfg, assignments, opt) to dst. When cfg is ConfigEqual to the
+// prefix's Config it hashes only the run half, resumed from the midstate,
+// with no allocation once the pool is warm; otherwise, or on a nil
+// prefix, it hashes the whole stream.
+func (p *FingerprintPrefix) AppendFingerprint(dst []byte, cfg Config, assignments []Assignment, opt RunOptions) []byte {
+	if p == nil || p.state == nil || !ConfigEqual(cfg, p.cfg) {
+		return AppendFingerprint(dst, cfg, assignments, opt)
+	}
+	r, _ := p.digests.Get().(*resumable)
+	if r == nil {
+		r = &resumable{h: sha256.New().(resumableHash)}
+	}
+	if err := r.h.UnmarshalBinary(p.state); err != nil {
+		return AppendFingerprint(dst, cfg, assignments, opt)
+	}
+	r.buf = appendRunStream(r.buf[:0], assignments, opt)
+	r.h.Write(r.buf)
+	sum := r.h.Sum(r.sum[:0])
+	dst = hex.AppendEncode(dst, sum)
+	p.digests.Put(r)
+	return dst
+}
+
+// ConfigEqual reports whether two configs are fingerprint-equivalent
+// without hashing: it compares exactly the fields the config half of the
+// stream encodes, bit-exact on floats like the encoding, so a true result
+// means equal fingerprints for equal runs. It is the one structural
+// identity check: the midstate guard and the surrogate's chip lookup
+// both use it, and a hash of the config costs microseconds where this
+// costs nanoseconds.
+func ConfigEqual(a, b Config) bool {
+	if a.Name != b.Name || !f64eq(a.DRAMBandwidth, b.DRAMBandwidth) || a.Host != b.Host {
+		return false
+	}
+	if len(a.Fabrics) != len(b.Fabrics) || len(a.IPs) != len(b.IPs) {
+		return false
+	}
+	for i, f := range a.Fabrics {
+		g := b.Fabrics[i]
+		if f.Name != g.Name || !f64eq(f.Bandwidth, g.Bandwidth) || f.Parent != g.Parent {
+			return false
+		}
+	}
+	for i, s := range a.IPs {
+		t := b.IPs[i]
+		if s.Name != t.Name || s.Fabric != t.Fabric || s.MaxInflight != t.MaxInflight ||
+			!f64eq(s.ComputeRate, t.ComputeRate) ||
+			!f64eq(s.LinkBandwidth, t.LinkBandwidth) ||
+			!f64eq(s.WritePenalty, t.WritePenalty) ||
+			!f64eq(s.CacheSize, t.CacheSize) ||
+			!f64eq(s.CacheBandwidth, t.CacheBandwidth) ||
+			!f64eq(s.ChunkBytes, t.ChunkBytes) ||
+			!f64eq(s.CoordinationOpsPerByte, t.CoordinationOpsPerByte) ||
+			!f64eq(s.MemoryLatency, t.MemoryLatency) {
+			return false
+		}
+	}
+	at, bt := a.Thermal, b.Thermal
+	if (at == nil) != (bt == nil) {
+		return false
+	}
+	if at != nil {
+		if !f64eq(at.Ambient, bt.Ambient) || !f64eq(at.Resistance, bt.Resistance) ||
+			!f64eq(at.Capacitance, bt.Capacitance) || !f64eq(at.IdlePower, bt.IdlePower) ||
+			!f64eq(at.EnergyPerOp, bt.EnergyPerOp) || !f64eq(at.ThrottleAt, bt.ThrottleAt) ||
+			!f64eq(at.ResumeAt, bt.ResumeAt) || !f64eq(at.ThrottleScale, bt.ThrottleScale) ||
+			!f64eq(at.Interval, bt.Interval) {
+			return false
+		}
+	}
+	return true
+}
+
+// f64eq is bit-exact float equality — the same notion of "same config" the
+// fingerprint's Float64bits encoding uses.
+func f64eq(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// cloneConfig deep-copies the parts of a Config reached through pointers
+// and slices, so no write through the original's backing reaches it.
+func cloneConfig(c Config) Config {
+	c.Fabrics = append([]noc.FabricSpec(nil), c.Fabrics...)
+	c.IPs = append([]IPSpec(nil), c.IPs...)
+	if c.Thermal != nil {
+		t := *c.Thermal
+		c.Thermal = &t
+	}
+	return c
 }
 
 // FingerprintAssignment is a convenience for the common single-assignment

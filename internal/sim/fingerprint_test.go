@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"fmt"
+	"math"
+	"reflect"
 	"testing"
 
 	"github.com/gables-model/gables/internal/kernel"
@@ -158,4 +161,166 @@ func TestFingerprintMaxEventsNormalized(t *testing.T) {
 	if implicit != explicit {
 		t.Error("MaxEvents 0 and DefaultMaxEvents must share a fingerprint")
 	}
+}
+
+// configLeaves returns a settable value and a path for every scalar field
+// the fingerprint encodes, walking v's structs, slice elements and
+// pointees: the complete set of fields a bit flip must be seen in.
+func configLeaves(v reflect.Value, path string) (paths []string, leaves []reflect.Value) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Type().Field(i)
+			name := path + "." + f.Name
+			if f.Anonymous {
+				name = path
+			}
+			p, l := configLeaves(v.Field(i), name)
+			paths, leaves = append(paths, p...), append(leaves, l...)
+		}
+	case reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			p, l := configLeaves(v.Index(i), fmt.Sprintf("%s[%d]", path, i))
+			paths, leaves = append(paths, p...), append(leaves, l...)
+		}
+	case reflect.Pointer:
+		if !v.IsNil() {
+			return configLeaves(v.Elem(), path)
+		}
+	default:
+		return []string{path}, []reflect.Value{v}
+	}
+	return paths, leaves
+}
+
+// flipBit flips the lowest bit of a scalar's encoding in place and
+// returns the function that restores it.
+func flipBit(t *testing.T, v reflect.Value) (restore func()) {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.Float64:
+		old := v.Float()
+		v.SetFloat(math.Float64frombits(math.Float64bits(old) ^ 1))
+		return func() { v.SetFloat(old) }
+	case reflect.Int:
+		old := v.Int()
+		v.SetInt(old ^ 1)
+		return func() { v.SetInt(old) }
+	case reflect.String:
+		old := v.String()
+		if old == "" {
+			v.SetString("\x01")
+		} else {
+			b := []byte(old)
+			b[0] ^= 1
+			v.SetString(string(b))
+		}
+		return func() { v.SetString(old) }
+	}
+	t.Fatalf("no bit flip for a %s field; extend flipBit", v.Kind())
+	return nil
+}
+
+// TestConfigEqualTracksFingerprint guards ConfigEqual, the structural
+// identity check the midstate guard and the surrogate's chip lookup rely
+// on, against drifting from the fingerprint. It flips a bit in every
+// field the config half encodes, and changes every slice's length and
+// the thermal pointer's presence, in place through the backing the
+// prefix was built from. Each change must move the full fingerprint,
+// break ConfigEqual, and make the prefix fall back to the full hash of
+// the changed config instead of resuming from its stale midstate.
+func TestConfigEqualTracksFingerprint(t *testing.T) {
+	_, as, opt := fpBase()
+	for _, preset := range []Config{Snapdragon835(), Snapdragon821(), Snapdragon835Extended()} {
+		// A deep copy, so in-place flips never reach the presets'
+		// shared thermal parameters.
+		ref := cloneConfig(preset)
+		p := NewFingerprintPrefix(ref)
+		refFP := Fingerprint(ref, as, opt)
+		if !ConfigEqual(ref, cloneConfig(preset)) {
+			t.Fatalf("%s: identical configs compare unequal", ref.Name)
+		}
+		if got := string(p.AppendFingerprint(nil, ref, as, opt)); got != refFP {
+			t.Fatalf("%s: resumed fingerprint %s, full %s", ref.Name, got, refFP)
+		}
+		check := func(t *testing.T) {
+			t.Helper()
+			full := Fingerprint(ref, as, opt)
+			if full == refFP {
+				t.Fatal("the change did not move the full fingerprint")
+			}
+			if ConfigEqual(ref, preset) {
+				t.Fatal("the change moved the fingerprint but ConfigEqual still holds")
+			}
+			if got := string(p.AppendFingerprint(nil, ref, as, opt)); got != full {
+				t.Fatalf("prefix answered %s, want the full hash %s", got, full)
+			}
+		}
+		paths, leaves := configLeaves(reflect.ValueOf(&ref).Elem(), ref.Name)
+		for i, leaf := range leaves {
+			t.Run(paths[i], func(t *testing.T) {
+				defer flipBit(t, leaf)()
+				check(t)
+			})
+		}
+		t.Run(ref.Name+".Fabrics-dropped", func(t *testing.T) {
+			defer func(f []noc.FabricSpec) { ref.Fabrics = f }(ref.Fabrics)
+			ref.Fabrics = ref.Fabrics[:len(ref.Fabrics)-1]
+			check(t)
+		})
+		t.Run(ref.Name+".IPs-dropped", func(t *testing.T) {
+			defer func(ips []IPSpec) { ref.IPs = ips }(ref.IPs)
+			ref.IPs = ref.IPs[:len(ref.IPs)-1]
+			check(t)
+		})
+		t.Run(ref.Name+".Thermal-toggled", func(t *testing.T) {
+			defer func(tc *thermal.Config) { ref.Thermal = tc }(ref.Thermal)
+			if ref.Thermal == nil {
+				tc := thermal.DefaultConfig()
+				ref.Thermal = &tc
+			} else {
+				ref.Thermal = nil
+			}
+			check(t)
+		})
+	}
+}
+
+// TestFingerprintPrefixMatchesFull pins the midstate path to the full
+// hash over run halves of every shape, on a nil prefix too.
+func TestFingerprintPrefixMatchesFull(t *testing.T) {
+	cfg, as, _ := fpBase()
+	p := NewFingerprintPrefix(cfg)
+	k := fpKernel()
+	runs := [][]Assignment{nil, as, {{IP: "GPU", Kernel: k}, {IP: "DSP", Kernel: k}, {IP: "CPU", Kernel: k}}}
+	for _, run := range runs {
+		for _, opt := range []RunOptions{{}, {Coordination: true, Thermal: true, MaxEvents: 7}} {
+			want := Fingerprint(cfg, run, opt)
+			if got := string(p.AppendFingerprint(nil, cfg, run, opt)); got != want {
+				t.Errorf("%d assignments, %+v: resumed %s, full %s", len(run), opt, got, want)
+			}
+			var nilPrefix *FingerprintPrefix
+			if got := string(nilPrefix.AppendFingerprint(nil, cfg, run, opt)); got != want {
+				t.Errorf("%d assignments, %+v: nil prefix %s, full %s", len(run), opt, got, want)
+			}
+		}
+	}
+}
+
+func BenchmarkFingerprint(b *testing.B) {
+	cfg, as, opt := fpBase()
+	dst := make([]byte, 0, FingerprintLen)
+	b.Run("full", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			AppendFingerprint(dst, cfg, as, opt)
+		}
+	})
+	b.Run("prefix", func(b *testing.B) {
+		p := NewFingerprintPrefix(cfg)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			p.AppendFingerprint(dst, cfg, as, opt)
+		}
+	})
 }

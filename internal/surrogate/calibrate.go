@@ -554,7 +554,7 @@ func (c *Calibration) Check(q eval.Query) error {
 	if q.MaxEvents != 0 {
 		return fmt.Errorf("surrogate: custom event budgets are outside the calibrated envelope")
 	}
-	if !configEqual(q.Chip, c.chip) {
+	if !sim.ConfigEqual(q.Chip, c.chip) {
 		return fmt.Errorf("surrogate: chip %q differs from the calibrated configuration %q", q.Chip.Name, c.chip.Name)
 	}
 	minSweep, maxSweep := c.Plan.SweepFlopsPerWord[0], c.Plan.SweepFlopsPerWord[0]

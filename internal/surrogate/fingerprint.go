@@ -77,55 +77,3 @@ func Fingerprint(s Spec) string {
 	u64(uint64(p.Pattern))
 	return hex.EncodeToString(h.Sum(nil))
 }
-
-// configEqual reports whether two chip configs are fingerprint-equivalent
-// without hashing: it compares exactly the fields sim.Fingerprint encodes
-// (bit-exact on floats, like the hash), so a == result means equal inner
-// fingerprints. The fast path runs it per query — a sha256 of the config
-// costs microseconds, this costs nanoseconds.
-func configEqual(a, b sim.Config) bool {
-	if a.Name != b.Name || !f64eq(a.DRAMBandwidth, b.DRAMBandwidth) || a.Host != b.Host {
-		return false
-	}
-	if len(a.Fabrics) != len(b.Fabrics) || len(a.IPs) != len(b.IPs) {
-		return false
-	}
-	for i, f := range a.Fabrics {
-		g := b.Fabrics[i]
-		if f.Name != g.Name || !f64eq(f.Bandwidth, g.Bandwidth) || f.Parent != g.Parent {
-			return false
-		}
-	}
-	for i, s := range a.IPs {
-		t := b.IPs[i]
-		if s.Name != t.Name || s.Fabric != t.Fabric || s.MaxInflight != t.MaxInflight ||
-			!f64eq(s.ComputeRate, t.ComputeRate) ||
-			!f64eq(s.LinkBandwidth, t.LinkBandwidth) ||
-			!f64eq(s.WritePenalty, t.WritePenalty) ||
-			!f64eq(s.CacheSize, t.CacheSize) ||
-			!f64eq(s.CacheBandwidth, t.CacheBandwidth) ||
-			!f64eq(s.ChunkBytes, t.ChunkBytes) ||
-			!f64eq(s.CoordinationOpsPerByte, t.CoordinationOpsPerByte) ||
-			!f64eq(s.MemoryLatency, t.MemoryLatency) {
-			return false
-		}
-	}
-	at, bt := a.Thermal, b.Thermal
-	if (at == nil) != (bt == nil) {
-		return false
-	}
-	if at != nil {
-		if !f64eq(at.Ambient, bt.Ambient) || !f64eq(at.Resistance, bt.Resistance) ||
-			!f64eq(at.Capacitance, bt.Capacitance) || !f64eq(at.IdlePower, bt.IdlePower) ||
-			!f64eq(at.EnergyPerOp, bt.EnergyPerOp) || !f64eq(at.ThrottleAt, bt.ThrottleAt) ||
-			!f64eq(at.ResumeAt, bt.ResumeAt) || !f64eq(at.ThrottleScale, bt.ThrottleScale) ||
-			!f64eq(at.Interval, bt.Interval) {
-			return false
-		}
-	}
-	return true
-}
-
-// f64eq is bit-exact float equality — the same notion of "same config" the
-// fingerprint's Float64bits encoding uses.
-func f64eq(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }

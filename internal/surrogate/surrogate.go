@@ -157,14 +157,14 @@ func (b *Backend) tolerance() float64 {
 
 // calibrated returns the chip's entry, building it on first use. Failures
 // are not latched: a canceled or failed calibration retries on the next
-// query. The hot-path lookup matches the chip structurally (configEqual:
+// query. The hot-path lookup matches the chip structurally (sim.ConfigEqual:
 // bit-exact on every fingerprinted field, nanoseconds) — the full
 // fingerprint is only computed once, when a chip is first seen.
 func (b *Backend) calibrated(ctx context.Context, cfg sim.Config) (*chipEntry, error) {
 	b.mu.Lock()
 	var e *chipEntry
 	for _, cand := range b.chips {
-		if configEqual(cfg, cand.spec.Chip) {
+		if sim.ConfigEqual(cfg, cand.spec.Chip) {
 			e = cand
 			break
 		}

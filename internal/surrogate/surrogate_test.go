@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"github.com/gables-model/gables/internal/eval"
@@ -279,9 +280,11 @@ func TestFastAnswerConfidence(t *testing.T) {
 	}
 }
 
-// TestConfigEqualTracksFingerprint guards configEqual (the hot-path chip
-// identity check) against drifting from sim.Fingerprint: any mutation that
-// changes the fingerprint must also break structural equality.
+// TestConfigEqualTracksFingerprint pins the surrogate's two chip
+// identities to each other: a chip change that moves the calibration's
+// content address must also take the chip out of the calibrated envelope.
+// Both rest on sim's encoder and sim.ConfigEqual, whose agreement over
+// every field sim's test of the same name checks.
 func TestConfigEqualTracksFingerprint(t *testing.T) {
 	mutations := []struct {
 		name string
@@ -300,23 +303,22 @@ func TestConfigEqualTracksFingerprint(t *testing.T) {
 		{"ip-latency", func(c *sim.Config) { c.IPs[0].MemoryLatency += 1e-6 }},
 		{"ip-dropped", func(c *sim.Config) { c.IPs = c.IPs[:len(c.IPs)-1] }},
 	}
-	ref := testChip()
-	refFP := sim.Fingerprint(ref, nil, sim.RunOptions{})
-	if !configEqual(ref, testChip()) {
-		t.Fatal("identical configs compare unequal")
+	cal := testCalibration(t)
+	refFP := Fingerprint(Spec{Chip: testChip(), Plan: cal.Plan})
+	if err := cal.Check(twoIP(t, 0.5, 512, 4<<20)); err != nil {
+		t.Fatalf("the calibrated chip is outside its own envelope: %v", err)
 	}
 	for _, m := range mutations {
 		t.Run(m.name, func(t *testing.T) {
 			mutated := testChip()
 			m.mut(&mutated)
-			fpChanged := sim.Fingerprint(mutated, nil, sim.RunOptions{}) != refFP
-			eqBroken := !configEqual(ref, mutated)
-			if fpChanged != eqBroken {
-				t.Fatalf("fingerprint changed=%v but configEqual broken=%v — the two identity checks drifted",
-					fpChanged, eqBroken)
+			if Fingerprint(Spec{Chip: mutated, Plan: cal.Plan}) == refFP {
+				t.Fatalf("mutation %q did not change the calibration fingerprint; pick a covered field", m.name)
 			}
-			if !fpChanged {
-				t.Fatalf("mutation %q did not change the fingerprint; pick a covered field", m.name)
+			q := twoIP(t, 0.5, 512, 4<<20)
+			q.Chip, q.Work = mutated, q.Work[:len(mutated.IPs)]
+			if err := cal.Check(q); err == nil || !strings.Contains(err.Error(), "differs from the calibrated configuration") {
+				t.Fatalf("a chip with a new fingerprint passed the envelope's chip check: %v", err)
 			}
 		})
 	}

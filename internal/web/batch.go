@@ -194,7 +194,7 @@ func (s *server) streamBatch(w http.ResponseWriter, r *http.Request, req batchRe
 
 // wantsNDJSON reports whether the client asked for the streaming shape.
 func wantsNDJSON(r *http.Request) bool {
-	return r.URL.Query().Get("stream") == "1" ||
+	return query(r.URL.RawQuery).Get("stream") == "1" ||
 		strings.Contains(r.Header.Get("Accept"), ndjsonContentType)
 }
 
@@ -285,7 +285,7 @@ func (s *server) evaluateGroup(ctx context.Context, ev eval.Evaluator, idxs []in
 			chunked(s, len(idxs), func(lo, hi int) struct{} {
 				for k := lo; k < hi; k++ {
 					i := idxs[k]
-					results[i] = finishItem(queries[i], &out[k])
+					results[i] = s.finishItem(queries[i], &out[k])
 					note(i)
 				}
 				return struct{}{}
@@ -307,7 +307,7 @@ func (s *server) evaluateGroup(ctx context.Context, ev eval.Evaluator, idxs []in
 		case o == nil:
 			results[i] = batchItemResult{Chip: queries[i].Chip.Name, Error: "backend returned no outcome"}
 		default:
-			results[i] = finishItem(queries[i], o)
+			results[i] = s.finishItem(queries[i], o)
 		}
 		note(i)
 		return nil // item errors stay with the item
@@ -393,8 +393,8 @@ func allSupported(ev eval.Evaluator, idxs []int, queries []eval.Query) bool {
 // fingerprint. A query without a fingerprint reports the error instead of
 // its outcome, as /eval answers it with a 500, so exactly one of Outcome
 // and Error is set.
-func finishItem(q eval.Query, o *eval.Outcome) batchItemResult {
-	fp, err := eval.Fingerprint(q)
+func (s *server) finishItem(q eval.Query, o *eval.Outcome) batchItemResult {
+	fp, err := s.chips.fingerprint(q)
 	if err != nil {
 		return batchItemResult{Chip: q.Chip.Name, Error: err.Error()}
 	}

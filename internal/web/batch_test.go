@@ -407,7 +407,7 @@ func TestBatchGroupsByResolvedBackend(t *testing.T) {
 // without a fingerprint.
 func TestFinishItemFingerprintError(t *testing.T) {
 	q := eval.Query{Chip: sim.Snapdragon835()} // no work entries: fails Validate
-	res := finishItem(q, &eval.Outcome{Backend: "stub"})
+	res := newServer(Options{}).finishItem(q, &eval.Outcome{Backend: "stub"})
 	want := q.Validate()
 	if want == nil {
 		t.Fatal("query unexpectedly valid")

@@ -3,6 +3,7 @@ package web
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -89,5 +90,42 @@ func BenchmarkBatchHandler(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(b.N*batchBenchItems), "us/item")
 		})
+	}
+}
+
+// BenchmarkEvalHandler calls the /eval handler in-process on 480
+// serve-point-shaped questions: the three preset chips, the four
+// backends, fpw 8–512 and ten bands of f. Each question is answered once
+// before the timer starts, so calibration and sim runs are cache-resident
+// and the loop measures the per-request path: query reading, routing, the
+// backend's cached or closed-form answer, the fingerprint and the
+// response encoding.
+func BenchmarkEvalHandler(b *testing.B) {
+	var targets []string
+	for _, chip := range []string{"snapdragon835", "snapdragon821", "snapdragon835x"} {
+		for _, backend := range []string{"analytic", "surrogate", "auto", "sim"} {
+			for _, fpw := range []int{8, 32, 128, 512} {
+				for band := 1; band <= 10; band++ {
+					f := 0.1 + 0.08*float64(band-1)
+					targets = append(targets, fmt.Sprintf("/eval?chip=%s&backend=%s&f=%g&fpw=%d", chip, backend, f, fpw))
+				}
+			}
+		}
+	}
+	h := NewHandler(Options{})
+	get := func(target string) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("%s: status %d: %s", target, rec.Code, rec.Body.Bytes())
+		}
+	}
+	for _, target := range targets {
+		get(target)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		get(targets[i%len(targets)])
 	}
 }

@@ -46,6 +46,7 @@ func appendJSON(v jsonAppender, indent bool) []byte {
 func TestResponseEncodingCorpus(t *testing.T) {
 	ctx := context.Background()
 	var items []batchItemResult
+	s := newServer(Options{})
 	for _, name := range []string{"surrogate", "auto"} {
 		ev, err := eval.Resolve(name)
 		if err != nil {
@@ -57,7 +58,7 @@ func TestResponseEncodingCorpus(t *testing.T) {
 				items = append(items, batchItemResult{Chip: fx.Query.Chip.Name, Error: err.Error()})
 				continue
 			}
-			item := finishItem(fx.Query, o)
+			item := s.finishItem(fx.Query, o)
 			items = append(items, item)
 			label := name + "/" + fx.Name
 			resp := &evalResponse{Chip: item.Chip, Backend: item.Backend, Fingerprint: item.Fingerprint, Outcome: o}

@@ -34,17 +34,28 @@ type evalResponse struct {
 // slab path (eval.(*Analytic).EvaluateBatch) derive each chip's model once
 // per slab instead of once per item. Sharing is only safe while nothing
 // mutates a Config; TestSharedPresetsNeverMutated pins that for every
-// backend.
+// backend. Each entry also keeps its config's fingerprint midstate, so a
+// query's key hashes only its run half (DESIGN.md §7).
 type chipPresets struct {
-	sd835, sd821, sd835x sim.Config
+	sd835, sd821, sd835x preset
+}
+
+// preset is one chip of the table and its fingerprint midstate.
+type preset struct {
+	cfg    sim.Config
+	prefix *sim.FingerprintPrefix
+}
+
+func newPreset(cfg sim.Config) preset {
+	return preset{cfg: cfg, prefix: sim.NewFingerprintPrefix(cfg)}
 }
 
 // newChipPresets resolves the three /eval chip presets.
 func newChipPresets() *chipPresets {
 	return &chipPresets{
-		sd835:  sim.Snapdragon835(),
-		sd821:  sim.Snapdragon821(),
-		sd835x: sim.Snapdragon835Extended(),
+		sd835:  newPreset(sim.Snapdragon835()),
+		sd821:  newPreset(sim.Snapdragon821()),
+		sd835x: newPreset(sim.Snapdragon835Extended()),
 	}
 }
 
@@ -52,13 +63,27 @@ func newChipPresets() *chipPresets {
 func (p *chipPresets) chip(name string) (sim.Config, error) {
 	switch name {
 	case "", "snapdragon835":
-		return p.sd835, nil
+		return p.sd835.cfg, nil
 	case "snapdragon821":
-		return p.sd821, nil
+		return p.sd821.cfg, nil
 	case "snapdragon835x":
-		return p.sd835x, nil
+		return p.sd835x.cfg, nil
 	}
 	return sim.Config{}, fmt.Errorf("unknown chip %q (have snapdragon835, snapdragon821, snapdragon835x)", name)
+}
+
+// fingerprint returns eval.Fingerprint(q), resumed from the midstate of
+// the preset q's chip is named after. The midstate's own guard falls back
+// to the full hash for any chip that is not structurally that preset.
+func (p *chipPresets) fingerprint(q eval.Query) (string, error) {
+	var prefix *sim.FingerprintPrefix
+	for _, e := range [...]*preset{&p.sd835, &p.sd821, &p.sd835x} {
+		if e.cfg.Name == q.Chip.Name {
+			prefix = e.prefix
+			break
+		}
+	}
+	return eval.FingerprintFrom(prefix, q)
 }
 
 // evalHandler answers GET /eval.
@@ -68,12 +93,13 @@ func (s *server) evalHandler(w http.ResponseWriter, r *http.Request) {
 		evalError(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed on /eval (use GET; POST /eval/batch for arrays)", r.Method))
 		return
 	}
-	q, err := parseEvalQuery(r, s.chips)
+	form := query(r.URL.RawQuery)
+	q, err := parseEvalQuery(form, s.chips)
 	if err != nil {
 		evalError(w, http.StatusBadRequest, err)
 		return
 	}
-	ev, err := resolveBackend(r.URL.Query().Get("backend"))
+	ev, err := resolveBackend(form.Get("backend"))
 	if err != nil {
 		evalError(w, http.StatusBadRequest, err)
 		return
@@ -83,7 +109,7 @@ func (s *server) evalHandler(w http.ResponseWriter, r *http.Request) {
 		evalError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
-	fp, err := eval.Fingerprint(q)
+	fp, err := s.chips.fingerprint(q)
 	if err != nil {
 		evalError(w, http.StatusInternalServerError, err)
 		return
@@ -104,8 +130,7 @@ func resolveBackend(name string) (eval.Evaluator, error) {
 // the server's chip table; all numeric fields go through the shared
 // validated parsers (parse.go), so NaN/Inf and non-positive counts are
 // rejected with the field named.
-func parseEvalQuery(r *http.Request, chips *chipPresets) (eval.Query, error) {
-	form := r.URL.Query()
+func parseEvalQuery(form query, chips *chipPresets) (eval.Query, error) {
 	spec := defaultEvalSpec()
 	spec.Chip = form.Get("chip")
 	spec.Serialized = form.Get("serialized") == "1"

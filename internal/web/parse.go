@@ -3,7 +3,9 @@ package web
 import (
 	"fmt"
 	"math"
+	"net/url"
 	"strconv"
+	"strings"
 
 	"github.com/gables-model/gables/internal/eval"
 	"github.com/gables-model/gables/internal/kernel"
@@ -18,6 +20,34 @@ import (
 // parsePositiveInt here: the HTML pages fall back to defaults and report a
 // FormError, the JSON endpoints return a 400 naming the field — but the
 // acceptance rules are one implementation.
+
+// query is a request's raw URL query, read without building url.Values:
+// every surface looks up a handful of known keys, so a map of every pair
+// and its value slices is work no request needs.
+type query string
+
+// Get returns key's first value, exactly as url.ParseQuery(raw).Get(key)
+// would: it runs ParseQuery's loop (Go 1.24 net/url) — cut on '&', skip
+// pairs that are empty or contain ';', cut on '=', unescape key and value
+// with url.QueryUnescape and skip the pair on an error — and stops at the
+// first pair that survives with the key. It allocates only to unescape.
+func (q query) Get(key string) string {
+	for s := string(q); s != ""; {
+		var pair string
+		pair, s, _ = strings.Cut(s, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		if k, err := url.QueryUnescape(k); err != nil || k != key {
+			continue
+		}
+		if v, err := url.QueryUnescape(v); err == nil {
+			return v
+		}
+	}
+	return ""
+}
 
 // fieldError rejects one named input; both surfaces render it their way.
 type fieldError struct {

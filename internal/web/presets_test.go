@@ -150,3 +150,92 @@ func TestPresetsSharedPerChip(t *testing.T) {
 		t.Errorf("unknown chip error = %v", err)
 	}
 }
+
+// servedFingerprints asks s for chip's key at one question through /eval
+// and through both /eval/batch shapes.
+func servedFingerprints(t *testing.T, s *server, chip string) []string {
+	t.Helper()
+	h := s.routes()
+	var fps []string
+	rec := serve(h, http.MethodGet, "/eval?backend=analytic&f=0.25&fpw=512&chip="+chip, "")
+	var point evalResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &point); rec.Code != http.StatusOK || err != nil {
+		t.Fatalf("/eval %s: status %d (%v): %s", chip, rec.Code, err, rec.Body)
+	}
+	fps = append(fps, point.Fingerprint)
+	body := `{"items":[{"backend":"analytic","f":0.25,"fpw":512,"chip":"` + chip + `"}]}`
+	for _, target := range []string{"/eval/batch", "/eval/batch?stream=1"} {
+		rec := serve(h, http.MethodPost, target, body)
+		var out batchResponse
+		line := rec.Body.Bytes()
+		if strings.HasSuffix(target, "stream=1") {
+			out.Items = make([]batchItemResult, 1)
+			err := json.Unmarshal(line, &out.Items[0])
+			if err != nil || rec.Code != http.StatusOK {
+				t.Fatalf("%s %s: status %d (%v): %s", target, chip, rec.Code, err, line)
+			}
+		} else if err := json.Unmarshal(line, &out); err != nil || rec.Code != http.StatusOK || len(out.Items) != 1 {
+			t.Fatalf("%s %s: status %d (%v): %s", target, chip, rec.Code, err, line)
+		}
+		fps = append(fps, out.Items[0].Fingerprint)
+	}
+	return fps
+}
+
+// TestPresetFingerprintsMatchFullHash pins the midstate keys to
+// eval.Fingerprint on a freshly built preset, for every chip, and pins the
+// midstate's guard: a server whose preset backing was written after its
+// table was built must answer the full hash of the config it now holds,
+// not the stale midstate's key.
+func TestPresetFingerprintsMatchFullHash(t *testing.T) {
+	fresh := map[string]func() sim.Config{
+		"snapdragon835":  sim.Snapdragon835,
+		"snapdragon821":  sim.Snapdragon821,
+		"snapdragon835x": sim.Snapdragon835Extended,
+	}
+	spec := func(chip string) evalQuerySpec {
+		s := defaultEvalSpec()
+		s.Chip, s.F, s.FPW = chip, 0.25, 512
+		return s
+	}
+	s := newServer(Options{})
+	for chip, build := range fresh {
+		q, err := spec(chip).buildQuery(s.chips)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q.Chip = build()
+		want, err := eval.Fingerprint(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, got := range servedFingerprints(t, s, chip) {
+			if got != want {
+				t.Errorf("%s, surface %d: fingerprint %s, eval.Fingerprint on a fresh preset %s", chip, i, got, want)
+			}
+		}
+
+		mutated := newServer(Options{})
+		cfg, err := mutated.chips.chip(chip)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.IPs[1].ComputeRate *= 2 // through the table's shared backing
+		mq, err := spec(chip).buildQuery(mutated.chips)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, err := eval.Fingerprint(mq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if full == want {
+			t.Fatalf("%s: the mutation did not move the key", chip)
+		}
+		for i, got := range servedFingerprints(t, mutated, chip) {
+			if got != full {
+				t.Errorf("%s mutated, surface %d: fingerprint %s, want the full hash %s", chip, i, got, full)
+			}
+		}
+	}
+}

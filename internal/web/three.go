@@ -203,7 +203,7 @@ func threeHandler(w http.ResponseWriter, r *http.Request) {
 func parseThreeParams(r *http.Request) (ThreeParams, []FormError) {
 	p := DefaultThreeParams()
 	var errs []FormError
-	q := r.URL.Query()
+	q := query(r.URL.RawQuery)
 	parseFloatField(q, "ppeak", &p.PpeakGops, &errs)
 	parseFloatField(q, "bpeak", &p.BpeakGB, &errs)
 	parseFloatField(q, "a1", &p.A1, &errs)
