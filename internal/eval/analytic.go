@@ -100,8 +100,10 @@ func effectiveLink(spec sim.IPSpec, p kernel.Pattern) float64 {
 }
 
 // derive builds the per-query model from the chip's configured
-// parameters, plus the chip IP names in model order.
-func (a *Analytic) derive(q Query) (*core.Model, []string) {
+// parameters, plus the chip IP names in model order. Its inputs are the
+// chip's ConfigEqual fields and the work patterns, so a Preset compiles
+// it once per chip (analyticPlan).
+func derive(q *Query) (*core.Model, []string) {
 	ref := q.Chip.IPs[0]
 	s := &core.SoC{
 		Name:            q.Chip.Name + "-analytic",
@@ -193,6 +195,6 @@ func canonicalBottleneck(c core.Component) Bottleneck {
 }
 
 // CacheStats returns zero counters: analytic answers are not memoized.
-// It stays only for the benchmark's per-layer probe and goes away with
-// ROADMAP item 1.2's benchmark change.
+// It stays only because the benchmark's per-layer probe calls it; it goes
+// away with the next change to the benchmark.
 func CacheStats() simcache.Stats { return simcache.Stats{} }

@@ -100,8 +100,7 @@ func (a *Analytic) EvaluateBatch(ctx context.Context, qs []Query, out []Outcome)
 			hi++
 		}
 		run := order[lo:hi]
-		model, names := a.derive(qs[run[0]])
-		be, err := model.Batch()
+		be, names, err := analyticPlan(&qs[run[0]])
 		if err != nil {
 			return fmt.Errorf("eval: batch query %d: %w", run[0], err)
 		}
@@ -206,7 +205,7 @@ func unknownModelIP(ipNames []string, q Query) (string, bool) {
 }
 
 // sameDerivation reports whether two queries share every input of
-// Analytic.derive, using cheap identity checks (shared slice backing,
+// derive, using cheap identity checks (shared slice backing,
 // equal scalars) rather than deep comparison: false negatives only cost
 // a re-derivation.
 func sameDerivation(a, b *Query) bool {

@@ -46,7 +46,7 @@ func referenceOutcome(tb testing.TB, a *Analytic, q Query) *Outcome {
 	tb.Helper()
 	model, names := a.model, a.ipNames
 	if model == nil {
-		model, names = a.derive(q)
+		model, names = derive(&q)
 	}
 	index := make(map[string]int, len(names))
 	for i, name := range names {

@@ -77,6 +77,12 @@ type Query struct {
 	Thermal bool
 	// MaxEvents bounds the simulated event count (0 = sim default).
 	MaxEvents int
+
+	// preset links a query made by Preset.Query to its compiled chip. It
+	// never changes an answer or a fingerprint, only how they are computed.
+	//
+	//fp:skip a speed-up link: its midstate and plan are used only while Chip, which is encoded, still equals the preset's chip
+	preset *Preset
 }
 
 // Fidelity classifies how an Evaluator produces answers.

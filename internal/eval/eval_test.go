@@ -160,6 +160,30 @@ func TestSimEvaluatorMatchesDirectRun(t *testing.T) {
 	}
 }
 
+// simHitAllocCeiling is the measured allocation count of one sim-backend
+// answer served from the result cache: the realized assignments and their
+// labels, the run key, the private copy of the cached result and the
+// outcome. No trace label is built while no probe factory is installed.
+const simHitAllocCeiling = 10
+
+// TestSimEvaluateHitAllocs pins a cached sim-backend answer's allocations.
+func TestSimEvaluateHitAllocs(t *testing.T) {
+	ctx := context.Background()
+	s := NewSim()
+	q := twoIPQuery(t, 0.5, 32)
+	if _, err := s.Evaluate(ctx, q); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := s.Evaluate(ctx, q); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > simHitAllocCeiling {
+		t.Errorf("a cached Sim.Evaluate allocates %v times, ceiling %d", allocs, simHitAllocCeiling)
+	}
+}
+
 // TestAnalyticInjectedModelMatchesDirectEvaluate pins the other
 // byte-identity: with an injected model, the analytic backend's
 // attainable must equal evaluating the historical TwoIPUsecase directly —
@@ -331,9 +355,14 @@ func TestAnalyticEvaluateErrors(t *testing.T) {
 }
 
 // pointAllocCeiling is the measured allocation count of one
-// configured-mode Analytic.Evaluate: the slab of one derives the model,
-// hoists its batch evaluator and sizes its arenas on every call.
-const pointAllocCeiling = 20
+// configured-mode Analytic.Evaluate on a fresh config: the slab of one
+// derives the model, hoists its batch evaluator and sizes its arenas on
+// every call. presetPointAllocCeiling is the same call on a query made by
+// a Preset, which takes the compiled plan and only sizes the arenas.
+const (
+	pointAllocCeiling       = 20
+	presetPointAllocCeiling = 8
+)
 
 // TestAnalyticEvaluateAllocs pins the point path's allocations and that
 // each answer is the caller's own: mutating a returned outcome does not
@@ -342,13 +371,21 @@ func TestAnalyticEvaluateAllocs(t *testing.T) {
 	ctx := context.Background()
 	a := NewAnalytic()
 	q := twoIPQuery(t, 0.625, 32)
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := a.Evaluate(ctx, q); err != nil {
-			t.Fatal(err)
+	pq := NewPreset(q.Chip).Query()
+	pq.Work, pq.Trials = q.Work, q.Trials
+	for _, tc := range []struct {
+		name    string
+		q       Query
+		ceiling float64
+	}{{"fresh config", q, pointAllocCeiling}, {"preset", pq, presetPointAllocCeiling}} {
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := a.Evaluate(ctx, tc.q); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > tc.ceiling {
+			t.Errorf("%s: Analytic.Evaluate allocates %v times, ceiling %v", tc.name, allocs, tc.ceiling)
 		}
-	})
-	if allocs > pointAllocCeiling {
-		t.Errorf("Analytic.Evaluate allocates %v times, ceiling %d", allocs, pointAllocCeiling)
 	}
 
 	first, err := a.Evaluate(ctx, q)

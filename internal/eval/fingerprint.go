@@ -26,15 +26,12 @@ const FingerprintVersion = 1
 // assignments, RunOptions) triple, exactly as the sim backend realizes it
 // up to the display-only kernel labels, is fingerprinted and hashed
 // together with the eval-level semantics the triple cannot express (the
-// serialized-execution flag).
+// serialized-execution flag). A query made by Preset.Query hashes the
+// inner fingerprint's chip half from the preset's midstate while its chip
+// still matches the preset, and in full otherwise.
 //
 //fp:encoder
-func Fingerprint(q Query) (string, error) { return FingerprintFrom(nil, q) }
-
-// FingerprintFrom returns Fingerprint(q), hashing the inner run
-// fingerprint's chip half from p's midstate when q.Chip is still
-// sim.ConfigEqual to p's chip, and in full otherwise or when p is nil.
-func FingerprintFrom(p *sim.FingerprintPrefix, q Query) (string, error) {
+func Fingerprint(q Query) (string, error) {
 	if err := q.Validate(); err != nil {
 		return "", err
 	}
@@ -53,7 +50,11 @@ func FingerprintFrom(p *sim.FingerprintPrefix, q Query) (string, error) {
 		b = append(b, 0)
 	}
 	b = binary.LittleEndian.AppendUint64(b, sim.FingerprintLen)
-	b = p.AppendFingerprint(b, q.Chip, as, q.runOptions())
+	var prefix *sim.FingerprintPrefix // nil hashes in full
+	if q.preset != nil {
+		prefix = q.preset.prefix
+	}
+	b = prefix.AppendFingerprint(b, q.Chip, as, q.runOptions())
 	sum := sha256.Sum256(b)
 	var out [2 * sha256.Size]byte
 	hex.Encode(out[:], sum[:])

@@ -143,10 +143,11 @@ func TestFingerprintAllocs(t *testing.T) {
 		}); got > 1 {
 			t.Errorf("%s: eval.Fingerprint made %v allocations, want at most 1", name, got)
 		}
-		prefix := sim.NewFingerprintPrefix(cfg)
+		pq := NewPreset(cfg).Query()
+		pq.Work, pq.Trials = q.Work, q.Trials
 		want, _ := Fingerprint(q)
-		if got, err := FingerprintFrom(prefix, q); err != nil || got != want {
-			t.Errorf("%s: eval.FingerprintFrom = %s (%v), want %s", name, got, err, want)
+		if got, err := Fingerprint(pq); err != nil || got != want {
+			t.Errorf("%s: eval.Fingerprint on a preset query = %s (%v), want %s", name, got, err, want)
 		}
 
 		as, opt, err := q.realize()

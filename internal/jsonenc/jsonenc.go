@@ -208,12 +208,14 @@ func (w *Writer) member() {
 	w.newline(w.depth)
 }
 
+// indentation is the deepest line's indent: two spaces per level at the
+// depth cap of 63.
+const indentation = "                                                                                                                              "
+
 func (w *Writer) newline(depth int) {
 	if !w.indent {
 		return
 	}
 	w.buf = append(w.buf, '\n')
-	for i := 0; i < depth; i++ {
-		w.buf = append(w.buf, ' ', ' ')
-	}
+	w.buf = append(w.buf, indentation[:2*depth]...)
 }

@@ -197,7 +197,7 @@ func NewFingerprintPrefix(cfg Config) *FingerprintPrefix {
 // with no allocation once the pool is warm; otherwise, or on a nil
 // prefix, it hashes the whole stream.
 func (p *FingerprintPrefix) AppendFingerprint(dst []byte, cfg Config, assignments []Assignment, opt RunOptions) []byte {
-	if p == nil || p.state == nil || !ConfigEqual(cfg, p.cfg) {
+	if p == nil || p.state == nil || !p.Matches(cfg) {
 		return AppendFingerprint(dst, cfg, assignments, opt)
 	}
 	r, _ := p.digests.Get().(*resumable)
@@ -213,6 +213,14 @@ func (p *FingerprintPrefix) AppendFingerprint(dst []byte, cfg Config, assignment
 	dst = hex.AppendEncode(dst, sum)
 	p.digests.Put(r)
 	return dst
+}
+
+// Matches reports whether cfg is ConfigEqual to the prefix's private copy
+// of its Config: the guard under which anything computed once from that
+// Config, the midstate included, still holds for cfg. A nil prefix
+// matches nothing.
+func (p *FingerprintPrefix) Matches(cfg Config) bool {
+	return p != nil && ConfigEqual(cfg, p.cfg)
 }
 
 // ConfigEqual reports whether two configs are fingerprint-equivalent

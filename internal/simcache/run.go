@@ -48,8 +48,10 @@ func SetProbeFactory(f func(label string) trace.Probe) {
 }
 
 // runProbe resolves the probe for one Run call: an explicit one wins,
-// otherwise the installed factory (if any) supplies one.
-func runProbe(opt sim.RunOptions, label string) trace.Probe {
+// otherwise the installed factory (if any) supplies one, labeled by
+// runLabel. The label is built only for the factory, so an untraced
+// cache hit never pays for it.
+func runProbe(opt sim.RunOptions, cfg sim.Config, assignments []sim.Assignment) trace.Probe {
 	if opt.Probe != nil {
 		return opt.Probe
 	}
@@ -59,7 +61,7 @@ func runProbe(opt sim.RunOptions, label string) trace.Probe {
 	if f == nil {
 		return nil
 	}
-	return f(label)
+	return f(runLabel(cfg, assignments))
 }
 
 // runLabel names one run for trace artifacts: the chip, then each
@@ -93,7 +95,7 @@ func runLabel(cfg sim.Config, assignments []sim.Assignment) string {
 // untraced entry's key (Fingerprint excludes the probe). Such runs are
 // reported in the Bypassed counter — never as misses.
 func Run(cfg sim.Config, assignments []sim.Assignment, opt sim.RunOptions) (*sim.RunResult, error) {
-	if p := runProbe(opt, runLabel(cfg, assignments)); p != nil {
+	if p := runProbe(opt, cfg, assignments); p != nil {
 		defaultCache.Bypass()
 		opt.Probe = p
 		sys, err := sim.New(cfg)

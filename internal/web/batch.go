@@ -18,11 +18,10 @@ import (
 // request (the transport succeeds, the item reports). Items whose backend
 // names resolve to the same evaluator form one group, whatever order they
 // arrive in. A group goes through the backend's EvaluateBatch fast path
-// when it implements eval.BatchEvaluator: every item is built on the
-// server's chip table, so all items for one chip share one sim.Config
-// backing and the analytic backend derives each chip's model once per
-// slab, whose items are then fingerprinted in contiguous chunks, one per
-// worker. Other groups take a bounded parallel fan-out (sim items run
+// when it implements eval.BatchEvaluator: every item is made by a preset
+// of the server's chip table, so the analytic backend answers all items
+// for one chip from that preset's compiled plan, and the slab's items are
+// then fingerprinted in contiguous chunks, one per worker. Other groups take a bounded parallel fan-out (sim items run
 // concurrently up to the worker bound, deduplicated by the simcache
 // singleflight). A buffered response is encoded in the same contiguous
 // chunks. Every fan-out is charged against the admission limiter
@@ -394,7 +393,7 @@ func allSupported(ev eval.Evaluator, idxs []int, queries []eval.Query) bool {
 // its outcome, as /eval answers it with a 500, so exactly one of Outcome
 // and Error is set.
 func (s *server) finishItem(q eval.Query, o *eval.Outcome) batchItemResult {
-	fp, err := s.chips.fingerprint(q)
+	fp, err := eval.Fingerprint(q)
 	if err != nil {
 		return batchItemResult{Chip: q.Chip.Name, Error: err.Error()}
 	}

@@ -13,8 +13,8 @@ import (
 // answered by a registry-selected backend. Unlike the HTML pages — which
 // render the closed-form model over free-form hardware parameters — this
 // endpoint works on the simulated chip presets, so the same question can
-// be answered at either fidelity (?backend=analytic|sim|auto) and the
-// response records which backend produced the number. /eval/batch
+// be answered at any fidelity (?backend=analytic|sim|surrogate|auto) and
+// the response records which backend produced the number. /eval/batch
 // (batch.go) answers arrays of the same question shape.
 
 // evalResponse is the /eval payload.
@@ -28,62 +28,39 @@ type evalResponse struct {
 	Outcome *eval.Outcome `json:"outcome"`
 }
 
-// chipPresets is one server's chip table, resolved once by NewHandler and
+// chipPresets is one server's chip table, compiled once by NewHandler and
 // never written afterwards. Every /eval and /eval/batch query for a chip
-// shares that chip's sim.Config backing, which is what lets the analytic
-// slab path (eval.(*Analytic).EvaluateBatch) derive each chip's model once
-// per slab instead of once per item. Sharing is only safe while nothing
+// is made by that chip's eval.Preset, so it shares the preset's
+// sim.Config backing (what lets eval.(*Analytic).EvaluateBatch group a
+// slab by chip) and carries the preset's fingerprint midstate and
+// analytic plan (DESIGN.md §7). Sharing is only safe while nothing
 // mutates a Config; TestSharedPresetsNeverMutated pins that for every
-// backend. Each entry also keeps its config's fingerprint midstate, so a
-// query's key hashes only its run half (DESIGN.md §7).
+// backend, and the preset's guard falls back to a full hash and a fresh
+// derivation if something ever does.
 type chipPresets struct {
-	sd835, sd821, sd835x preset
+	sd835, sd821, sd835x *eval.Preset
 }
 
-// preset is one chip of the table and its fingerprint midstate.
-type preset struct {
-	cfg    sim.Config
-	prefix *sim.FingerprintPrefix
-}
-
-func newPreset(cfg sim.Config) preset {
-	return preset{cfg: cfg, prefix: sim.NewFingerprintPrefix(cfg)}
-}
-
-// newChipPresets resolves the three /eval chip presets.
+// newChipPresets compiles the three /eval chip presets.
 func newChipPresets() *chipPresets {
 	return &chipPresets{
-		sd835:  newPreset(sim.Snapdragon835()),
-		sd821:  newPreset(sim.Snapdragon821()),
-		sd835x: newPreset(sim.Snapdragon835Extended()),
+		sd835:  eval.NewPreset(sim.Snapdragon835()),
+		sd821:  eval.NewPreset(sim.Snapdragon821()),
+		sd835x: eval.NewPreset(sim.Snapdragon835Extended()),
 	}
 }
 
-// chip resolves a preset name; the default is the calibrated 835.
-func (p *chipPresets) chip(name string) (sim.Config, error) {
+// preset resolves a preset name; the default is the calibrated 835.
+func (p *chipPresets) preset(name string) (*eval.Preset, error) {
 	switch name {
 	case "", "snapdragon835":
-		return p.sd835.cfg, nil
+		return p.sd835, nil
 	case "snapdragon821":
-		return p.sd821.cfg, nil
+		return p.sd821, nil
 	case "snapdragon835x":
-		return p.sd835x.cfg, nil
+		return p.sd835x, nil
 	}
-	return sim.Config{}, fmt.Errorf("unknown chip %q (have snapdragon835, snapdragon821, snapdragon835x)", name)
-}
-
-// fingerprint returns eval.Fingerprint(q), resumed from the midstate of
-// the preset q's chip is named after. The midstate's own guard falls back
-// to the full hash for any chip that is not structurally that preset.
-func (p *chipPresets) fingerprint(q eval.Query) (string, error) {
-	var prefix *sim.FingerprintPrefix
-	for _, e := range [...]*preset{&p.sd835, &p.sd821, &p.sd835x} {
-		if e.cfg.Name == q.Chip.Name {
-			prefix = e.prefix
-			break
-		}
-	}
-	return eval.FingerprintFrom(prefix, q)
+	return nil, fmt.Errorf("unknown chip %q (have snapdragon835, snapdragon821, snapdragon835x)", name)
 }
 
 // evalHandler answers GET /eval.
@@ -93,13 +70,14 @@ func (s *server) evalHandler(w http.ResponseWriter, r *http.Request) {
 		evalError(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed on /eval (use GET; POST /eval/batch for arrays)", r.Method))
 		return
 	}
-	form := query(r.URL.RawQuery)
-	q, err := parseEvalQuery(form, s.chips)
+	var form evalForm
+	query(r.URL.RawQuery).read(evalKeys[:], form[:])
+	q, err := parseEvalQuery(&form, s.chips)
 	if err != nil {
 		evalError(w, http.StatusBadRequest, err)
 		return
 	}
-	ev, err := resolveBackend(form.Get("backend"))
+	ev, err := resolveBackend(form[keyBackend])
 	if err != nil {
 		evalError(w, http.StatusBadRequest, err)
 		return
@@ -109,7 +87,7 @@ func (s *server) evalHandler(w http.ResponseWriter, r *http.Request) {
 		evalError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
-	fp, err := s.chips.fingerprint(q)
+	fp, err := eval.Fingerprint(q)
 	if err != nil {
 		evalError(w, http.StatusInternalServerError, err)
 		return
@@ -126,32 +104,59 @@ func resolveBackend(name string) (eval.Evaluator, error) {
 	return eval.Resolve(name)
 }
 
-// parseEvalQuery builds the eval.Query from the request's query string on
+// The keys GET /eval reads, as indexes into evalKeys and an evalForm.
+const (
+	keyChip = iota
+	keySerialized
+	keyF
+	keyDSP
+	keyFPW
+	keyWords
+	keyTrials
+	keyBackend
+)
+
+// evalKeys names GET /eval's keys, read in one pass over the raw query.
+var evalKeys = [...]string{
+	keyChip:       "chip",
+	keySerialized: "serialized",
+	keyF:          "f",
+	keyDSP:        "dsp",
+	keyFPW:        "fpw",
+	keyWords:      "words",
+	keyTrials:     "trials",
+	keyBackend:    "backend",
+}
+
+// evalForm holds the first value of each of evalKeys.
+type evalForm [len(evalKeys)]string
+
+// parseEvalQuery builds the eval.Query from the request's query values on
 // the server's chip table; all numeric fields go through the shared
 // validated parsers (parse.go), so NaN/Inf and non-positive counts are
 // rejected with the field named.
-func parseEvalQuery(form query, chips *chipPresets) (eval.Query, error) {
+func parseEvalQuery(form *evalForm, chips *chipPresets) (eval.Query, error) {
 	spec := defaultEvalSpec()
-	spec.Chip = form.Get("chip")
-	spec.Serialized = form.Get("serialized") == "1"
+	spec.Chip = form[keyChip]
+	spec.Serialized = form[keySerialized] == "1"
 
 	var err error
 	for _, f := range []struct {
-		name string
-		dst  *float64
-	}{{"f", &spec.F}, {"dsp", &spec.DSP}} {
-		if v := form.Get(f.name); v != "" {
-			if *f.dst, err = parseFinite(f.name, v); err != nil {
+		key int
+		dst *float64
+	}{{keyF, &spec.F}, {keyDSP, &spec.DSP}} {
+		if v := form[f.key]; v != "" {
+			if *f.dst, err = parseFinite(evalKeys[f.key], v); err != nil {
 				return eval.Query{}, err
 			}
 		}
 	}
 	for _, f := range []struct {
-		name string
-		dst  *int
-	}{{"fpw", &spec.FPW}, {"words", &spec.Words}, {"trials", &spec.Trials}} {
-		if v := form.Get(f.name); v != "" {
-			if *f.dst, err = parsePositiveInt(f.name, v); err != nil {
+		key int
+		dst *int
+	}{{keyFPW, &spec.FPW}, {keyWords, &spec.Words}, {keyTrials, &spec.Trials}} {
+		if v := form[f.key]; v != "" {
+			if *f.dst, err = parsePositiveInt(evalKeys[f.key], v); err != nil {
 				return eval.Query{}, err
 			}
 		}

@@ -27,26 +27,67 @@ import (
 type query string
 
 // Get returns key's first value, exactly as url.ParseQuery(raw).Get(key)
-// would: it runs ParseQuery's loop (Go 1.24 net/url) — cut on '&', skip
-// pairs that are empty or contain ';', cut on '=', unescape key and value
-// with url.QueryUnescape and skip the pair on an error — and stops at the
-// first pair that survives with the key. It allocates only to unescape.
+// would: a one-key read.
 func (q query) Get(key string) string {
-	for s := string(q); s != ""; {
+	var v [1]string
+	q.read([]string{key}, v[:])
+	return v[0]
+}
+
+// read sets vals[i] to the first value of keys[i] (len(vals) ==
+// len(keys) ≤ 64), exactly as url.ParseQuery(raw).Get(keys[i]) would, in
+// one pass over the raw query. It runs ParseQuery's loop (Go 1.24
+// net/url) — cut on '&', skip pairs that are empty or contain ';', cut on
+// '=', unescape key and value and skip the pair on an error — and stops
+// once every key has its value. A key or value is unescaped only when it
+// holds '%' or '+', the only bytes url.QueryUnescape changes, so a query
+// that needs no unescaping is read without allocating.
+func (q query) read(keys, vals []string) {
+	for i := range vals {
+		vals[i] = ""
+	}
+	var found uint64
+	all := uint64(1)<<len(keys) - 1
+	for s := string(q); s != "" && found != all; {
 		var pair string
 		pair, s, _ = strings.Cut(s, "&")
 		if pair == "" || strings.Contains(pair, ";") {
 			continue
 		}
 		k, v, _ := strings.Cut(pair, "=")
-		if k, err := url.QueryUnescape(k); err != nil || k != key {
+		k, ok := unescape(k)
+		if !ok {
 			continue
 		}
-		if v, err := url.QueryUnescape(v); err == nil {
-			return v
+		var hit uint64
+		for i, key := range keys {
+			if found&(1<<i) == 0 && key == k {
+				hit |= 1 << i
+			}
 		}
+		if hit == 0 {
+			continue
+		}
+		if v, ok = unescape(v); !ok {
+			continue
+		}
+		for i := range keys {
+			if hit&(1<<i) != 0 {
+				vals[i] = v
+			}
+		}
+		found |= hit
 	}
-	return ""
+}
+
+// unescape is url.QueryUnescape, skipped for a string it would return
+// unchanged; ok is false where it fails.
+func unescape(s string) (string, bool) {
+	if !strings.ContainsAny(s, "%+") {
+		return s, true
+	}
+	u, err := url.QueryUnescape(s)
+	return u, err == nil
 }
 
 // fieldError rejects one named input; both surfaces render it their way.
@@ -108,9 +149,9 @@ func defaultEvalSpec() evalQuerySpec {
 }
 
 // buildQuery validates the spec and realizes it as the canonical
-// eval.Query: a CPU/GPU(/DSP) work split on a preset from chips.
+// eval.Query: a CPU/GPU(/DSP) work split, made by a preset from chips.
 func (s evalQuerySpec) buildQuery(chips *chipPresets) (eval.Query, error) {
-	cfg, err := chips.chip(s.Chip)
+	preset, err := chips.preset(s.Chip)
 	if err != nil {
 		return eval.Query{}, err
 	}
@@ -134,14 +175,11 @@ func (s evalQuerySpec) buildQuery(chips *chipPresets) (eval.Query, error) {
 	// The CPU is last: it absorbs the integer remainder, like the
 	// harnesses' historical arithmetic.
 	shares = append(shares, eval.Share{IP: "CPU", Fraction: 1 - s.F - s.DSP})
-	work, err := eval.SplitWork(cfg, s.Words, s.FPW, kernel.ReadWrite, shares)
+	q := preset.Query()
+	q.Work, err = eval.SplitWork(q.Chip, s.Words, s.FPW, kernel.ReadWrite, shares)
 	if err != nil {
 		return eval.Query{}, err
 	}
-	return eval.Query{
-		Chip:       cfg,
-		Work:       work,
-		Trials:     s.Trials,
-		Serialized: s.Serialized,
-	}, nil
+	q.Trials, q.Serialized = s.Trials, s.Serialized
+	return q, nil
 }

@@ -30,10 +30,7 @@ func TestSharedPresetsNeverMutated(t *testing.T) {
 	// the extended chip).
 	var qs []eval.Query
 	for _, name := range chips {
-		cfg, err := s.chips.chip(name)
-		if err != nil {
-			t.Fatal(err)
-		}
+		cfg := presetChip(t, s.chips, name)
 		for _, fx := range eval.DefaultCorpus() {
 			q := fx.Query
 			q.Chip = cfg
@@ -116,14 +113,21 @@ func TestSharedPresetsNeverMutated(t *testing.T) {
 		{"snapdragon821", sim.Snapdragon821()},
 		{"snapdragon835x", sim.Snapdragon835Extended()},
 	} {
-		got, err := s.chips.chip(tc.name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, tc.fresh) {
+		if got := presetChip(t, s.chips, tc.name); !reflect.DeepEqual(got, tc.fresh) {
 			t.Errorf("%s: shared preset was mutated:\n got %+v\nwant %+v", tc.name, got, tc.fresh)
 		}
 	}
+}
+
+// presetChip returns the config of the named preset in chips, whose
+// backing every query for that chip shares.
+func presetChip(t *testing.T, chips *chipPresets, name string) sim.Config {
+	t.Helper()
+	p, err := chips.preset(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p.Query().Chip
 }
 
 // TestPresetsSharedPerChip pins the table's point: every query for one
@@ -146,7 +150,7 @@ func TestPresetsSharedPerChip(t *testing.T) {
 	if backing("snapdragon835") == backing("snapdragon821") {
 		t.Error("two chips share one backing")
 	}
-	if _, err := chips.chip("nope"); err == nil || err.Error() != `unknown chip "nope" (have snapdragon835, snapdragon821, snapdragon835x)` {
+	if _, err := chips.preset("nope"); err == nil || err.Error() != `unknown chip "nope" (have snapdragon835, snapdragon821, snapdragon835x)` {
 		t.Errorf("unknown chip error = %v", err)
 	}
 }
@@ -216,10 +220,7 @@ func TestPresetFingerprintsMatchFullHash(t *testing.T) {
 		}
 
 		mutated := newServer(Options{})
-		cfg, err := mutated.chips.chip(chip)
-		if err != nil {
-			t.Fatal(err)
-		}
+		cfg := presetChip(t, mutated.chips, chip)
 		cfg.IPs[1].ComputeRate *= 2 // through the table's shared backing
 		mq, err := spec(chip).buildQuery(mutated.chips)
 		if err != nil {
