@@ -325,8 +325,10 @@ func derefType(t types.Type) types.Type {
 }
 
 // encodedStructs computes the reachable struct set from the encoders'
-// parameters, honoring skip (no descent, excluded) and delegate (no
-// descent) annotations, sorted by qualified name for determinism.
+// parameters through exported and embedded fields, honoring skip (no
+// descent, excluded) and delegate (no descent) annotations, sorted by
+// qualified name for determinism. An unexported field is never walked:
+// a struct reachable only through one is not encoded.
 func (c *checker) encodedStructs() []*types.Named {
 	seen := map[types.Type]bool{}
 	found := map[*types.Named]bool{}
@@ -358,6 +360,9 @@ func (c *checker) encodedStructs() []*types.Named {
 				if fv.Embedded() {
 					walk(fv.Type())
 					continue
+				}
+				if !fv.Exported() {
+					continue // not part of the encoded surface
 				}
 				switch c.fieldAnnotation(x, fv) {
 				case "skip", "delegate":

@@ -23,3 +23,10 @@ func TestFpfieldsClean(t *testing.T) {
 func TestFpfieldsSeededMutation(t *testing.T) {
 	analysistest.Run(t, "testdata", fpfields.Analyzer, "seeded")
 }
+
+// TestFpfieldsUnexportedFields pins that unexported fields are not walked:
+// the structs behind them add no unencoded-field findings and nothing to
+// the shape lock.
+func TestFpfieldsUnexportedFields(t *testing.T) {
+	analysistest.Run(t, "testdata", fpfields.Analyzer, "unexported")
+}

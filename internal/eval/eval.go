@@ -79,9 +79,9 @@ type Query struct {
 	MaxEvents int
 
 	// preset links a query made by Preset.Query to its compiled chip. It
-	// never changes an answer or a fingerprint, only how they are computed.
-	//
-	//fp:skip a speed-up link: its midstate and plan are used only while Chip, which is encoded, still equals the preset's chip
+	// never changes an answer or a fingerprint, only how they are computed:
+	// its midstate and plan are used only while Chip, which is encoded,
+	// still equals the preset's chip.
 	preset *Preset
 }
 

@@ -41,14 +41,15 @@ func (w *Writer) Reset(indent bool) {
 	*w = Writer{buf: w.buf[:0], indent: indent}
 }
 
-// ResetFragment empties the writer for a fragment of a document that
-// starts inside depth open containers (1 ≤ depth ≤ 63), so the parts of
-// one document can be encoded apart — concurrently — and sent in order.
-// filled says whether the innermost container already holds a member
-// written before the fragment, so the fragment's first Element or Key is
-// preceded by a comma; each enclosing container holds the next one.
-func (w *Writer) ResetFragment(indent bool, depth int, filled bool) {
-	w.Reset(indent)
+// Fragment starts a fragment of a document after the bytes already
+// buffered, so the parts of one document can be encoded apart —
+// concurrently, and several to one writer — and sent in order. The
+// fragment starts inside depth open containers (1 ≤ depth ≤ 63); filled
+// says whether the innermost container already holds a member written
+// before the fragment, so the fragment's first Element or Key is preceded
+// by a comma; each enclosing container holds the next one. The layout is
+// the one the last Reset chose.
+func (w *Writer) Fragment(depth int, filled bool) {
 	w.depth = depth
 	w.filled = uint64(1)<<depth - 2 // bits 1 … depth-1: each encloses the next
 	if filled {
@@ -132,6 +133,16 @@ func (w *Writer) Float(f float64) {
 
 const hex = "0123456789abcdef"
 
+// safeASCII marks the ASCII bytes String copies as they are: everything
+// from 0x20 up except the quote, the backslash and the HTML-special <, >
+// and &, as encoding/json's htmlSafeSet has it.
+var safeASCII = func() (t [utf8.RuneSelf]bool) {
+	for b := byte(0x20); b < utf8.RuneSelf; b++ {
+		t[b] = b != '"' && b != '\\' && b != '<' && b != '>' && b != '&'
+	}
+	return t
+}()
+
 // String writes s as a quoted JSON string, escaped as encoding/json
 // escapes it with HTML escaping on (the Encoder default).
 func (w *Writer) String(s string) {
@@ -139,7 +150,7 @@ func (w *Writer) String(s string) {
 	start := 0
 	for i := 0; i < len(s); {
 		if b := s[i]; b < utf8.RuneSelf {
-			if b >= 0x20 && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
+			if safeASCII[b] {
 				i++
 				continue
 			}

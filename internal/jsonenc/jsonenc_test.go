@@ -84,13 +84,39 @@ func TestStringMatchesEncodingJSON(t *testing.T) {
 		"\x00\x01\x1f\x7f", "line\u2028para\u2029", "é ü 中文 😀", "bad \xff byte", "\xc3", "\xed\xa0\x80",
 		"trailing \xe2\x80", "\ufffd real replacement", "snapdragon-835-sim", "fpw=512/f=0.5",
 	} {
-		var w Writer
-		w.String(s)
-		w.End()
-		if want := std(t, s, false); !bytes.Equal(w.Bytes(), want) {
-			t.Errorf("String(%q) = %q, want %q", s, w.Bytes(), want)
-		}
+		checkString(t, s)
 	}
+	// Every byte alone and between copied runs, so each entry of the
+	// copy-as-is table meets encoding/json.
+	for b := 0; b <= 0xff; b++ {
+		checkString(t, string([]byte{byte(b)}))
+		checkString(t, "ab"+string([]byte{byte(b)})+"cd")
+	}
+}
+
+// checkString requires String's bytes for s to be encoding/json's.
+func checkString(t *testing.T, s string) {
+	t.Helper()
+	var w Writer
+	w.String(s)
+	w.End()
+	if want := std(t, s, false); !bytes.Equal(w.Bytes(), want) {
+		t.Errorf("String(%q) = %q, want %q", s, w.Bytes(), want)
+	}
+}
+
+// FuzzString holds String to encoding/json on arbitrary bytes: invalid
+// UTF-8, control and HTML-special bytes, U+2028 and U+2029 included.
+func FuzzString(f *testing.F) {
+	for _, s := range []string{
+		"", "plain", `quote " and \ backslash`, "<script>&amp;</script>", "\x00\x1f\x7f",
+		"line\u2028para\u2029", "é 中文 😀", "bad \xff byte", "\xed\xa0\x80", "snapdragon-835-sim",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		checkString(t, s)
+	})
 }
 
 // TestLayoutMatchesEncodingJSON covers the indentation rules: nested and
@@ -145,8 +171,8 @@ func TestLayoutMatchesEncodingJSON(t *testing.T) {
 }
 
 // TestFragmentsMatchOneWriter encodes a document as a head, its array's
-// elements in fragments split at every subset of element boundaries, and
-// a tail, and requires the concatenation to be the bytes one writer (and
+// elements in fragments split at every subset of element boundaries
+// (written back to back into one writer), and a tail, and requires the concatenation to be the bytes one writer (and
 // encoding/json) writes, in both layouts and for empty, one- and
 // several-element arrays.
 func TestFragmentsMatchOneWriter(t *testing.T) {
@@ -216,7 +242,8 @@ func TestFragmentsMatchOneWriter(t *testing.T) {
 				env.MarkFilled()
 			}
 			tail(&env)
-			tailFrag.ResetFragment(indent, 2, n > 0)
+			tailFrag.Reset(indent)
+			tailFrag.Fragment(2, n > 0)
 			tail(&tailFrag)
 			if !bytes.Equal(env.Bytes()[head:], tailFrag.Bytes()) {
 				t.Errorf("n=%d indent=%v: tail %q, fragment tail %q", n, indent, env.Bytes()[head:], tailFrag.Bytes())
@@ -224,18 +251,22 @@ func TestFragmentsMatchOneWriter(t *testing.T) {
 
 			// Bit k-1 of cuts set: a fragment ends after element k.
 			for cuts := 0; cuts < 1<<max(n-1, 0); cuts++ {
+				// The fragments go to one writer, back to back, each
+				// sent as its own byte range.
 				got := append([]byte(nil), env.Bytes()[:head]...)
 				var frag Writer
+				frag.Reset(indent)
 				lo := 0
 				for k := 1; k <= n; k++ {
 					if k < n && cuts&(1<<(k-1)) == 0 {
 						continue
 					}
-					frag.ResetFragment(indent, 2, lo > 0)
+					start := len(frag.Bytes())
+					frag.Fragment(2, lo > 0)
 					for _, e := range v.Items[lo:k] {
 						element(&frag, e)
 					}
-					got = append(got, frag.Bytes()...)
+					got = append(got, frag.Bytes()[start:]...)
 					lo = k
 				}
 				got = append(got, env.Bytes()[head:]...)

@@ -161,17 +161,16 @@ func (a *admission) acquire(ctx context.Context, class int) (func(), error) {
 // tryAcquire claims a slot only when one is immediately free: no
 // queueing, no shedding, and no outcome counter — the per-request
 // Admitted/Queued/Shed/Canceled invariant counts requests, and an extra
-// slot belongs to a request already counted. Every batch fan-out
-// (server.fanout: point-wise evaluation, slab fingerprinting, response
-// encoding) charges each worker beyond a request's own slot through
-// here, so MaxInFlight
-// bounds real evaluation concurrency across point requests, batch
-// requests, and their workers together; when nothing is free the batch
-// degrades toward sequential on the slot it already holds, which always
-// makes progress — holding-while-trying cannot deadlock. The returned
-// release behaves exactly like acquire's (it hands the slot to the
-// longest-waiting interactive-then-batch waiter before freeing it) and
-// must be called exactly once.
+// slot belongs to a request already counted. A batch's fan-out
+// (server.fanout, whose workers evaluate, fingerprint and encode its
+// items) charges each worker beyond a request's own slot through here,
+// so MaxInFlight bounds real evaluation concurrency across point
+// requests, batch requests, and their workers together; when nothing is
+// free the batch degrades toward sequential on the slot it already holds,
+// which always makes progress — holding-while-trying cannot deadlock. The
+// returned release behaves exactly like acquire's (it hands the slot to
+// the longest-waiting interactive-then-batch waiter before freeing it)
+// and must be called exactly once.
 func (a *admission) tryAcquire() (func(), bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()

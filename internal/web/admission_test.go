@@ -387,14 +387,14 @@ func TestOverloadPriorityHTTP(t *testing.T) {
 }
 
 // TestBatchChunkFanoutBounded is TestBatchFanoutBounded for the analytic
-// slab: the chunked fan-out that fingerprints its items and encodes the
-// buffered response must charge every worker beyond the request's own
-// slot, so at MaxInFlight 2 no more than two chunk workers ever run, and
-// every extra slot is back when the request returns.
+// slab: the fan-out that fingerprints and encodes the slab's items must
+// charge every worker beyond the request's own slot, so at MaxInFlight 2
+// no more than two workers ever run, and every extra slot is back when
+// the request returns.
 func TestBatchChunkFanoutBounded(t *testing.T) {
 	opts := Options{MaxInFlight: 2, QueueDepth: 4, BatchWorkers: 4}
 
-	// The finishing loop, gated in its per-item note: the request's slot
+	// The workers, gated as each finalizes its item: the request's slot
 	// and the one free slot run two workers, never a third.
 	s := newServer(opts)
 	release, err := s.adm.acquire(context.Background(), classBatch)
@@ -402,27 +402,29 @@ func TestBatchChunkFanoutBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := batchRequest{Backend: "analytic", Items: make([]batchItem, 16)}
-	results := make([]batchItemResult, len(req.Items))
+	lines := make([][]byte, len(req.Items))
 	entered := make(chan int, len(req.Items))
 	gate := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		s.evaluateBatch(context.Background(), req, results, func(i int) {
+		encs := s.answerBatch(context.Background(), req, batchOut{stream: true, final: func(i int, item encodedItem) {
+			lines[i] = append([]byte(nil), item.bytes()...)
 			entered <- i
 			<-gate
-		})
+		}})
+		putResponses(encs)
 	}()
 	for k := 0; k < 2; k++ {
 		select {
 		case <-entered:
 		case <-time.After(5 * time.Second):
-			t.Fatalf("only %d chunk workers started with a free slot and BatchWorkers=4", k)
+			t.Fatalf("only %d workers started with a free slot and BatchWorkers=4", k)
 		}
 	}
 	select {
 	case i := <-entered:
-		t.Fatalf("a third worker reached item %d with MaxInFlight=2: the chunk fan-out is not charged", i)
+		t.Fatalf("a third worker reached item %d with MaxInFlight=2: the fan-out is not charged", i)
 	case <-time.After(100 * time.Millisecond):
 	}
 	if got := s.adm.Stats().InFlight; got != 2 {
@@ -431,9 +433,10 @@ func TestBatchChunkFanoutBounded(t *testing.T) {
 	close(gate)
 	<-done
 	release()
-	for i, res := range results {
-		if res.Outcome == nil || res.Fingerprint == "" {
-			t.Errorf("item %d: %+v, want an answered item", i, res)
+	for i, line := range lines {
+		var res batchItemResult
+		if err := json.Unmarshal(line, &res); err != nil || res.Outcome == nil || res.Fingerprint == "" {
+			t.Errorf("item %d: %s (%v), want an answered item", i, line, err)
 		}
 	}
 	if got := s.adm.Stats().InFlight; got != 0 {

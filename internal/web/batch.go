@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"github.com/gables-model/gables/internal/eval"
 	"github.com/gables-model/gables/internal/jsonenc"
@@ -17,22 +18,23 @@ import (
 // per-item errors; a malformed or unanswerable item never fails the
 // request (the transport succeeds, the item reports). Items whose backend
 // names resolve to the same evaluator form one group, whatever order they
-// arrive in. A group goes through the backend's EvaluateBatch fast path
-// when it implements eval.BatchEvaluator: every item is made by a preset
-// of the server's chip table, so the analytic backend answers all items
-// for one chip from that preset's compiled plan, and the slab's items are
-// then fingerprinted in contiguous chunks, one per worker. Other groups take a bounded parallel fan-out (sim items run
-// concurrently up to the worker bound, deduplicated by the simcache
-// singleflight). A buffered response is encoded in the same contiguous
-// chunks. Every fan-out is charged against the admission limiter
-// (fanout): the request's own slot covers one worker, and each
-// additional worker runs only if it wins a free slot
-// (admission.tryAcquire), so MaxInFlight bounds real concurrency whatever
-// the batch mix.
+// arrive in. A group whose backend implements eval.BatchEvaluator is
+// answered first, as one slab: every item is made by a preset of the
+// server's chip table, so the analytic backend answers all items for one
+// chip from that preset's compiled plan. Then the request's workers claim
+// the items one at a time, in item order. The worker that claims an item
+// evaluates it if no slab answered it (sim items run concurrently,
+// deduplicated by the simcache singleflight), fingerprints it and encodes
+// it into its own pooled writer: one pass, on one worker, per item. The
+// request's own admission slot covers one worker; each additional worker
+// runs only if it wins a free slot (fanout, admission.tryAcquire), so
+// MaxInFlight bounds real concurrency whatever the batch mix.
 //
-// With ?stream=1 or Accept: application/x-ndjson the response is NDJSON —
-// one result object per line, in item order, written and flushed as
-// results complete — so a large batch delivers its early answers while
+// A buffered response is written from the workers' bytes, in item order,
+// once every item is final. With ?stream=1 or Accept:
+// application/x-ndjson the response is NDJSON — one result object per
+// line, in item order, each line written as soon as it and every line
+// before it are final — so a large batch delivers its early answers while
 // later items are still evaluating.
 
 // DefaultBatchLimit bounds the item count of one batch request.
@@ -141,54 +143,87 @@ func (s *server) batchHandler(w http.ResponseWriter, r *http.Request) {
 		s.streamBatch(w, r, req)
 		return
 	}
-	results := make([]batchItemResult, len(req.Items))
-	s.evaluateBatch(r.Context(), req, results, nil)
-	s.writeBatch(w, results)
+	s.bufferBatch(w, r, req)
+}
+
+// encodedItem locates one item's bytes in the response — a range of the
+// writer of the worker that encoded it — or holds the error that kept
+// them from being encoded (a float JSON cannot carry).
+type encodedItem struct {
+	enc    *jsonenc.Writer
+	lo, hi int
+	err    error
+}
+
+// bytes returns the item's bytes. Until the workers are joined only the
+// worker that encoded them may call it, since it reads the writer.
+func (it encodedItem) bytes() []byte { return it.enc.Bytes()[it.lo:it.hi] }
+
+// bufferBatch answers the buffered shape: the envelope around every
+// item's bytes, in item order, once all of them are final.
+func (s *server) bufferBatch(w http.ResponseWriter, r *http.Request, req batchRequest) {
+	items := make([]encodedItem, len(req.Items))
+	encs := s.answerBatch(r.Context(), req, batchOut{final: func(i int, item encodedItem) { items[i] = item }})
+	defer putResponses(encs)
+	writeBuffered(w, items)
 }
 
 // streamBatch answers the NDJSON shape: evaluation runs concurrently with
-// the response writer, which emits each line — in item order — as soon as
-// that item's result is final, so early answers reach the client while
-// later items are still evaluating. A write failure (client gone) cancels
-// the evaluation context; the handler still waits for the evaluation
-// goroutine so the admission slot is never released with work in flight.
+// the response writer, which writes each line — in item order — as soon as
+// it and every line before it are final, and flushes whenever it would
+// otherwise wait, so early answers reach the client while later items are
+// still evaluating. The lines are encoded on the workers; the writer only
+// sends them. A write failure (client gone) or an unencodable item cancels
+// the evaluation context and ends the stream at the last whole line; the
+// handler still waits for the evaluation goroutine so the admission slot
+// is never released with work in flight.
 func (s *server) streamBatch(w http.ResponseWriter, r *http.Request, req batchRequest) {
 	n := len(req.Items)
-	results := make([]batchItemResult, n)
-	ready := make([]chan struct{}, n)
-	for i := range ready {
-		ready[i] = make(chan struct{})
-	}
+	lines := make([][]byte, n)  // nil: the item could not be encoded
+	finals := make(chan int, n) // room for every item: a worker never waits on the writer
+	var sent atomic.Int64
 
 	ctx, cancel := context.WithCancel(r.Context())
 	defer cancel()
+	var encs []*jsonenc.Writer
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		s.evaluateBatch(ctx, req, results, func(i int) { close(ready[i]) })
+		encs = s.answerBatch(ctx, req, batchOut{stream: true, sent: &sent, final: func(i int, item encodedItem) {
+			if item.err == nil {
+				lines[i] = item.bytes()
+			}
+			finals <- i
+		}})
 	}()
 
 	w.Header().Set("Content-Type", ndjsonContentType)
 	flusher, _ := w.(http.Flusher)
-	var line jsonenc.Writer // one buffer, reused line after line
-	for i := 0; i < n; i++ {
-		<-ready[i] // evaluateBatch finalizes every item, canceled or not
-		line.Reset(false)
-		results[i].appendJSON(&line)
-		line.End()
-		if line.Err() != nil {
+	ready := make([]bool, n) // the items the workers have reported final
+	unflushed := false
+	for next := 0; next < n; {
+		if !ready[next] {
+			if unflushed && flusher != nil && len(finals) == 0 {
+				flusher.Flush() // about to wait: what is written goes out now
+				unflushed = false
+			}
+			ready[<-finals] = true
+			continue
+		}
+		if lines[next] == nil {
 			cancel() // unencodable item: the stream ends at the last whole line
 			break
 		}
-		if _, err := w.Write(line.Bytes()); err != nil {
+		if _, err := w.Write(lines[next]); err != nil {
 			cancel() // client gone: the line boundary marks the cut
 			break
 		}
-		if flusher != nil {
-			flusher.Flush()
-		}
+		next++
+		sent.Store(int64(next))
+		unflushed = true
 	}
 	<-done
+	putResponses(encs)
 }
 
 // wantsNDJSON reports whether the client asked for the streaming shape.
@@ -197,27 +232,123 @@ func wantsNDJSON(r *http.Request) bool {
 		strings.Contains(r.Header.Get("Accept"), ndjsonContentType)
 }
 
-// evaluateBatch answers every item into results, grouping by resolved
-// evaluator so batch-capable evaluators see whole slabs. note, when
-// non-nil, is called exactly once per item the moment results[i] is final
-// (the streaming writer's signal); every item is finalized — and noted —
-// before return, with items that never ran (cancellation) reporting the
-// context error so the exactly-one-of-Outcome-or-Error contract holds
-// unconditionally.
-func (s *server) evaluateBatch(ctx context.Context, req batchRequest, results []batchItemResult, note func(i int)) {
-	if note == nil {
-		note = func(int) {}
-	}
-	n := len(req.Items)
-	queries := make([]eval.Query, n)
+// batchOut tells answerBatch how to lay out each item's bytes and where
+// they go.
+type batchOut struct {
+	// stream selects compact NDJSON lines; otherwise each item is a
+	// fragment of the indented buffered envelope, inside its items array
+	// and led by its separator (writeBuffered).
+	stream bool
+	// sent, when set, counts the lines the response has written, in item
+	// order: a worker whose every line is sent writes its next one from
+	// the start of its buffer, so a stream keeps only the lines encoded
+	// ahead of the writer. Unset, every item's bytes stay until the
+	// writers go back to the pool.
+	sent *atomic.Int64
+	// final is called exactly once per item, on the worker that encoded
+	// it, with where item i's bytes are. They stay valid until the
+	// writers go back to the pool or, with sent, until the line is sent.
+	final func(i int, item encodedItem)
+}
 
-	// Parse every item and bucket the parseable ones by the evaluator
-	// their backend name resolves to, in first-appearance order
-	// (deterministic grouping; results go back to their item index, so
-	// grouping never reorders the response). Two spellings of one backend
-	// ("" for the default and its name) share a group, so they share a
-	// slab. A name that does not resolve gets a group of its own, whose
-	// items all report the resolution error.
+// appendItem encodes res as item i of the response at the end of enc and
+// returns where its bytes are: a compact NDJSON line, or a fragment of
+// the indented envelope's items array led by its separator, which
+// writeBuffered sends between the envelope's head and tail.
+func appendItem(enc *jsonenc.Writer, i int, res *batchItemResult, stream bool) encodedItem {
+	lo := len(enc.Bytes())
+	if stream {
+		res.appendJSON(enc)
+		enc.End()
+	} else {
+		enc.Fragment(itemsDepth, i > 0)
+		enc.Element()
+		res.appendJSON(enc)
+	}
+	return encodedItem{enc: enc, lo: lo, hi: len(enc.Bytes()), err: enc.Err()}
+}
+
+// batchSlot is one item between the request's set-up and its fan-out:
+// its query and how it is answered — by its parse or backend-resolution
+// error, by its slab's outcome, or point-wise by its evaluator.
+type batchSlot struct {
+	q   eval.Query
+	err error
+	out *eval.Outcome
+	ev  eval.Evaluator
+}
+
+// batchBlock bounds the bytes a batch worker appends to one pooled
+// writer: past it the worker takes another, so the pool keeps writers of
+// about this size rather than ones as large as the largest share of a
+// body a worker ever encoded.
+const batchBlock = 16 << 10
+
+// answerBatch answers, fingerprints and encodes every item of req and
+// returns the writers holding the bytes; the caller puts them back
+// (putResponses) once it has sent what it needs. After the slabs
+// (planBatch), the workers the request wins (fanout) claim the items one
+// at a time, in item order — a cold sim item costs milliseconds where a
+// slab item costs microseconds — and the request's goroutine is the
+// first of them. Every extra slot is released, and every worker joined,
+// before answerBatch returns. Items the request's cancellation kept from
+// being evaluated report the context error, so exactly one of Outcome
+// and Error is set whatever happens.
+func (s *server) answerBatch(ctx context.Context, req batchRequest, out batchOut) []*jsonenc.Writer {
+	slots := s.planBatch(ctx, req)
+	n := len(slots)
+	workers, release := s.fanout(n)
+	defer release()
+	var claimed atomic.Int64
+	held := make([][]*jsonenc.Writer, workers) // each worker's writers
+	work := func(c int) {
+		var enc *jsonenc.Writer
+		last := -1 // the highest item whose bytes enc holds
+		for {
+			i := int(claimed.Add(1) - 1)
+			if i >= n {
+				return
+			}
+			res := s.answerItem(ctx, req.Items[i], &slots[i])
+			switch {
+			case enc != nil && out.sent != nil && out.sent.Load() > int64(last):
+				enc.Reset(false) // every line in enc is sent
+			case enc == nil || len(enc.Bytes()) >= batchBlock:
+				enc = responsePool.Get().(*jsonenc.Writer)
+				enc.Reset(!out.stream)
+				held[c] = append(held[c], enc)
+			}
+			last = i
+			out.final(i, appendItem(enc, i, &res, out.stream))
+		}
+	}
+
+	var wg sync.WaitGroup
+	for c := 1; c < workers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work(c)
+		}()
+	}
+	work(0)
+	wg.Wait()
+	var encs []*jsonenc.Writer
+	for _, h := range held {
+		encs = append(encs, h...)
+	}
+	return encs
+}
+
+// planBatch builds every item's query and answers the slabs. It buckets
+// the parseable items by the evaluator their backend name resolves to, in
+// first-appearance order (deterministic grouping; answers go back to
+// their item index, so grouping never reorders the response). Two
+// spellings of one backend ("" for the default and its name) share a
+// group, so they share a slab. A name that does not resolve gets a group
+// of its own, whose items all report the resolution error.
+func (s *server) planBatch(ctx context.Context, req batchRequest) []batchSlot {
+	slots := make([]batchSlot, len(req.Items))
 	type group struct {
 		ev   eval.Evaluator
 		err  error
@@ -229,11 +360,10 @@ func (s *server) evaluateBatch(ctx context.Context, req batchRequest, results []
 	for i, it := range req.Items {
 		q, err := it.spec().buildQuery(s.chips)
 		if err != nil {
-			results[i] = batchItemResult{Chip: it.Chip, Error: err.Error()}
-			note(i)
+			slots[i].err = err
 			continue
 		}
-		queries[i] = q
+		slots[i].q = q
 		name := it.Backend
 		if name == "" {
 			name = req.Backend
@@ -257,74 +387,64 @@ func (s *server) evaluateBatch(ctx context.Context, req batchRequest, results []
 	}
 
 	for _, g := range groups {
-		if g.err != nil {
-			for _, i := range g.idxs {
-				results[i] = batchItemResult{Chip: req.Items[i].Chip, Error: g.err.Error()}
-				note(i)
-			}
-			continue
+		for _, i := range g.idxs {
+			slots[i].ev, slots[i].err = g.ev, g.err
 		}
-		s.evaluateGroup(ctx, g.ev, g.idxs, queries, results, note)
+		if g.err == nil {
+			slab(ctx, g.ev, g.idxs, slots)
+		}
+	}
+	return slots
+}
+
+// slab answers one backend's items through its batch fast path when it
+// has one and supports every query (the batch contract has no per-item
+// error channel), pointing each item at its outcome. Otherwise the items
+// stay for the point-wise fan-out — also when the slab fails, since a
+// slab error names one query but poisons the whole slab's outcomes, and
+// point-wise each item reports its own.
+func slab(ctx context.Context, ev eval.Evaluator, idxs []int, slots []batchSlot) {
+	be, ok := ev.(eval.BatchEvaluator)
+	if !ok {
+		return
+	}
+	qs := make([]eval.Query, len(idxs))
+	for k, i := range idxs {
+		if be.Supports(slots[i].q) != nil {
+			return
+		}
+		qs[k] = slots[i].q
+	}
+	out := make([]eval.Outcome, len(qs))
+	if be.EvaluateBatch(ctx, qs, out) != nil {
+		return
+	}
+	for k, i := range idxs {
+		slots[i].out = &out[k] // out is this slab's own
 	}
 }
 
-// evaluateGroup answers one backend's items: slab-wise through the batch
-// fast path when every query is supported and the backend implements it,
-// point-wise under a bounded fan-out otherwise (including as the fallback
-// that attributes a slab failure to its item).
-func (s *server) evaluateGroup(ctx context.Context, ev eval.Evaluator, idxs []int, queries []eval.Query, results []batchItemResult, note func(i int)) {
-	if be, ok := ev.(eval.BatchEvaluator); ok && allSupported(be, idxs, queries) {
-		qs := make([]eval.Query, len(idxs))
-		for k, i := range idxs {
-			qs[k] = queries[i]
-		}
-		out := make([]eval.Outcome, len(qs))
-		if err := be.EvaluateBatch(ctx, qs, out); err == nil {
-			// out is this slab's own, so each result can point into it.
-			chunked(s, len(idxs), func(lo, hi int) struct{} {
-				for k := lo; k < hi; k++ {
-					i := idxs[k]
-					results[i] = s.finishItem(queries[i], &out[k])
-					note(i)
-				}
-				return struct{}{}
-			})
-			return
-		}
-		// A slab error names one query but poisons the whole slab's
-		// outcomes; replay point-wise so each item reports its own.
+// answerItem answers one item: with its error, its slab's outcome, or a
+// point-wise evaluation — unless the request's cancellation came first,
+// which the item then reports.
+func (s *server) answerItem(ctx context.Context, it batchItem, slot *batchSlot) batchItemResult {
+	if slot.err != nil {
+		return batchItemResult{Chip: it.Chip, Error: slot.err.Error()}
 	}
-
-	// Items are claimed one by one rather than in fixed chunks: a cold sim
-	// item costs milliseconds where a cached one costs microseconds.
-	workers, release := s.fanout(len(idxs))
-	parallel.ForEach(ctx, workers, idxs, func(ctx context.Context, _ int, i int) error {
-		o, err := ev.Evaluate(ctx, queries[i])
+	o := slot.out
+	if o == nil {
+		err := ctx.Err()
+		if err == nil {
+			o, err = slot.ev.Evaluate(ctx, slot.q)
+		}
 		switch {
 		case err != nil:
-			results[i] = batchItemResult{Chip: queries[i].Chip.Name, Error: err.Error()}
+			return batchItemResult{Chip: slot.q.Chip.Name, Error: err.Error()}
 		case o == nil:
-			results[i] = batchItemResult{Chip: queries[i].Chip.Name, Error: "backend returned no outcome"}
-		default:
-			results[i] = s.finishItem(queries[i], o)
-		}
-		note(i)
-		return nil // item errors stay with the item
-	})
-	release()
-
-	// Cancellation can keep items from ever starting; finalize them with
-	// the context error rather than leaving zero-value results behind.
-	for _, i := range idxs {
-		if results[i].Outcome == nil && results[i].Error == "" {
-			err := ctx.Err()
-			if err == nil {
-				err = context.Canceled
-			}
-			results[i] = batchItemResult{Chip: queries[i].Chip.Name, Error: err.Error()}
-			note(i)
+			return batchItemResult{Chip: slot.q.Chip.Name, Error: "backend returned no outcome"}
 		}
 	}
+	return s.finishItem(slot.q, o)
 }
 
 // fanout wins the workers of one request's fan-out over n units of work.
@@ -353,39 +473,6 @@ func (s *server) fanout(n int) (workers int, release func()) {
 			r()
 		}
 	}
-}
-
-// chunked splits the items [0, n) into one contiguous chunk per worker
-// the request wins (fanout) and returns fn's result for each chunk, in
-// item order. The calling goroutine, on the request's own slot, runs the
-// first chunk; every extra slot is released before chunked returns.
-func chunked[T any](s *server, n int, fn func(lo, hi int) T) []T {
-	workers, release := s.fanout(n)
-	defer release()
-	out := make([]T, workers)
-	var wg sync.WaitGroup
-	for c := 1; c < workers; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			out[c] = fn(c*n/workers, (c+1)*n/workers)
-		}(c)
-	}
-	out[0] = fn(0, n/workers)
-	wg.Wait()
-	return out
-}
-
-// allSupported reports whether the backend can answer every query in the
-// group (the batch contract has no per-item error channel, so one
-// unsupported query sends the whole group down the point-wise path).
-func allSupported(ev eval.Evaluator, idxs []int, queries []eval.Query) bool {
-	for _, i := range idxs {
-		if ev.Supports(queries[i]) != nil {
-			return false
-		}
-	}
-	return true
 }
 
 // finishItem builds one answered item's result, attaching the canonical

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -285,16 +286,22 @@ func TestBatchCanceledItems(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // canceled before any item can start
 	req := batchRequest{Backend: "stub-cancel", Items: []batchItem{{}, {}, {}}}
-	results := make([]batchItemResult, len(req.Items))
+	lines := make([][]byte, len(req.Items))
 	var mu sync.Mutex
 	noted := make(map[int]int)
-	s.evaluateBatch(ctx, req, results, func(i int) {
+	encs := s.answerBatch(ctx, req, batchOut{stream: true, final: func(i int, item encodedItem) {
 		mu.Lock()
 		noted[i]++
+		lines[i] = item.bytes()
 		mu.Unlock()
-	})
+	}})
+	defer putResponses(encs)
 
-	for i, res := range results {
+	for i, line := range lines {
+		var res batchItemResult
+		if err := json.Unmarshal(line, &res); err != nil {
+			t.Fatalf("item %d: line %q: %v", i, line, err)
+		}
 		if res.Outcome != nil {
 			t.Errorf("item %d produced an outcome under a canceled context", i)
 		}
@@ -423,9 +430,17 @@ func TestFinishItemFingerprintError(t *testing.T) {
 // TestBatchResponseIndependentOfWorkers pins that the fan-out never shows
 // in a response: buffered and NDJSON bodies are byte-identical whatever
 // the worker count, including at MaxInFlight 1, where no extra slot can
-// be won and every chunk runs inline.
+// be won and every item runs inline. Besides serve-batch-shaped bodies it
+// serves one that mixes slab items, point-wise items (surrogate and sim),
+// unparseable items and unknown-backend items.
 func TestBatchResponseIndependentOfWorkers(t *testing.T) {
 	bodies := batchBenchBodies(t, 2, batchBenchItems, 7)
+	bodies = append(bodies, []byte(`{"backend":"analytic","items":[
+		{"f":0.5,"fpw":32}, {"backend":"surrogate","f":0.3,"fpw":128}, {"f":2},
+		{"backend":"nope","chip":"snapdragon821"}, {"chip":"snapdragon821","f":0.25},
+		{"backend":"sim","chip":"snapdragon835x","f":0.45,"fpw":512}, {"chip":"nope"},
+		{"backend":"surrogate","chip":"snapdragon835x","f":0.45,"fpw":512}, {"backend":"nope"},
+		{"serialized":true,"dsp":0.125,"f":0.375}, {"trials":-1,"backend":"surrogate"}, {"words":16777216}]}`))
 	targets := []string{"/eval/batch", "/eval/batch?stream=1"}
 	var want [][]byte // per body and target, at BatchWorkers 1
 	for _, opts := range []Options{{BatchWorkers: 1}, {BatchWorkers: 2}, {BatchWorkers: 4}, {MaxInFlight: 1, BatchWorkers: 4}} {
@@ -447,4 +462,39 @@ func TestBatchResponseIndependentOfWorkers(t *testing.T) {
 			want = got
 		}
 	}
+}
+
+// TestBatchWritersBounded pins what a request keeps in pooled writers: a
+// buffered body spreads over writers of about batchBlock bytes each, not
+// one per worker as large as its whole share, and a stream whose lines
+// are sent as soon as they are final keeps reusing one small writer.
+func TestBatchWritersBounded(t *testing.T) {
+	req, err := decodeBatchBody(bytes.NewReader(batchBenchBodies(t, 1, batchBenchItems, 5)[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newServer(Options{BatchWorkers: 1})
+	const slack = 4 << 10 // more than one encoded item
+
+	encs := s.answerBatch(context.Background(), req, batchOut{final: func(int, encodedItem) {}})
+	total := 0
+	for _, enc := range encs {
+		if n := len(enc.Bytes()); n > batchBlock+slack {
+			t.Errorf("a buffered writer holds %d bytes, want at most %d", n, batchBlock+slack)
+		}
+		total += len(enc.Bytes())
+	}
+	if len(encs) < 2 || total <= batchBlock {
+		t.Errorf("%d writers hold %d bytes: the body should span several blocks", len(encs), total)
+	}
+	putResponses(encs)
+
+	var sent atomic.Int64
+	encs = s.answerBatch(context.Background(), req, batchOut{stream: true, sent: &sent, final: func(i int, _ encodedItem) {
+		sent.Store(int64(i + 1)) // a writer that keeps up
+	}})
+	if len(encs) != 1 || len(encs[0].Bytes()) > slack {
+		t.Errorf("a stream that keeps up left %d writers, the first holding %d bytes; want one holding one line", len(encs), len(encs[0].Bytes()))
+	}
+	putResponses(encs)
 }

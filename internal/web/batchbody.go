@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"strconv"
+	"sync"
 )
 
 // Decoding the POST /eval/batch body. encoding/json is the reference: the
@@ -34,9 +35,17 @@ import (
 // the scanner to that: whatever it accepts, encoding/json accepts and
 // decodes to a reflect.DeepEqual request.
 
-// decodeBatchBody reads body to its end and decodes it.
+// bodyPool holds the buffers bodies are read into. A buffer is free once
+// its body is decoded: the scanner copies the names it keeps (name) and
+// encoding/json copies whatever it decodes.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// decodeBatchBody reads body to its end, into a pooled buffer, and
+// decodes it.
 func decodeBatchBody(body io.Reader) (batchRequest, error) {
-	var buf bytes.Buffer
+	buf := bodyPool.Get().(*bytes.Buffer)
+	defer putBody(buf)
+	buf.Reset()
 	_, readErr := buf.ReadFrom(body)
 	if readErr == nil {
 		if req, ok := scanBatchRequest(buf.Bytes()); ok {
@@ -50,6 +59,15 @@ func decodeBatchBody(body io.Reader) (batchRequest, error) {
 	var req batchRequest
 	err := json.NewDecoder(src).Decode(&req)
 	return req, err
+}
+
+// putBody returns a body buffer to the pool unless it outgrew
+// maxPooledResponse, as response writers do, so one large body cannot
+// keep its buffer resident.
+func putBody(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledResponse {
+		bodyPool.Put(buf)
+	}
 }
 
 // errReader fails every read with err: the tail that replays a body's

@@ -62,16 +62,21 @@ func batchBenchBodies(tb testing.TB, n, size int, seed int64) [][]byte {
 // once before the timer starts, so the surrogate calibration and other
 // lazy set-up are done and the loop measures the handler: body decode,
 // query building, grouping, the analytic slab, surrogate items,
-// fingerprints and response encoding.
+// fingerprints and response encoding. The -1worker variants run the same
+// handler at BatchWorkers 1, so the fan-out's speedup is the ratio of two
+// lines of one run.
 func BenchmarkBatchHandler(b *testing.B) {
 	bodies := batchBenchBodies(b, 16, batchBenchItems, 1)
-	h := NewHandler(Options{})
 	for _, bc := range []struct {
 		name, target string
+		workers      int
 	}{
-		{"buffered", "/eval/batch"},
-		{"ndjson", "/eval/batch?stream=1"},
+		{"buffered", "/eval/batch", 0},
+		{"ndjson", "/eval/batch?stream=1", 0},
+		{"buffered-1worker", "/eval/batch", 1},
+		{"ndjson-1worker", "/eval/batch?stream=1", 1},
 	} {
+		h := NewHandler(Options{BatchWorkers: bc.workers})
 		b.Run(bc.name, func(b *testing.B) {
 			post := func(body []byte) {
 				rec := httptest.NewRecorder()

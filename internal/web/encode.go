@@ -13,7 +13,7 @@ import (
 // NDJSON line), without its reflection or SetIndent's second pass. The
 // shape-lock test holds these appenders to the struct tags.
 
-// maxPooledResponse caps the buffer a buffered response returns to the
+// maxPooledResponse caps the buffer a response writer returns to the
 // pool, so one large batch cannot keep its buffer resident.
 const maxPooledResponse = 1 << 20
 
@@ -41,6 +41,13 @@ func writeJSON(w http.ResponseWriter, v jsonAppender) {
 	w.Write(enc.Bytes())
 }
 
+// putResponses returns a request's writers to the pool (putResponse).
+func putResponses(encs []*jsonenc.Writer) {
+	for _, enc := range encs {
+		putResponse(enc)
+	}
+}
+
 // putResponse returns a writer to the pool unless its buffer outgrew
 // maxPooledResponse.
 func putResponse(enc *jsonenc.Writer) {
@@ -53,32 +60,17 @@ func putResponse(enc *jsonenc.Writer) {
 // inside the envelope object, inside the array.
 const itemsDepth = 2
 
-// writeBatch sends a buffered /eval/batch response, byte for byte what one
-// writer encoding batchResponse{Items: items} writes. The items are
-// encoded in contiguous chunks on the request's workers (chunked), each
-// into a pooled fragment writer that starts inside the items array. An
-// unsupported value in any chunk fails the whole response with a 500
+// writeBuffered sends a buffered /eval/batch response, byte for byte what
+// one writer encoding batchResponse writes, from items encoded apart:
+// each a fragment of the envelope's items array, led by its separator
+// (answerBatch). An unencodable item fails the whole response with a 500
 // naming the first one in item order, before any byte is committed.
-// Otherwise the envelope's head, the chunks in order and its tail go
+// Otherwise the envelope's head, the items in order and its tail go
 // straight to w, with no buffer gathering them.
-func (s *server) writeBatch(w http.ResponseWriter, items []batchItemResult) {
-	chunks := chunked(s, len(items), func(lo, hi int) *jsonenc.Writer {
-		enc := responsePool.Get().(*jsonenc.Writer)
-		enc.ResetFragment(true, itemsDepth, lo > 0)
-		for i := lo; i < hi; i++ {
-			enc.Element()
-			items[i].appendJSON(enc)
-		}
-		return enc
-	})
-	defer func() {
-		for _, enc := range chunks {
-			putResponse(enc)
-		}
-	}()
-	for _, enc := range chunks {
-		if err := enc.Err(); err != nil {
-			evalError(w, http.StatusInternalServerError, err)
+func writeBuffered(w http.ResponseWriter, items []encodedItem) {
+	for _, it := range items {
+		if it.err != nil {
+			evalError(w, http.StatusInternalServerError, it.err)
 			return
 		}
 	}
@@ -91,7 +83,7 @@ func (s *server) writeBatch(w http.ResponseWriter, items []batchItemResult) {
 	env.BeginArray()
 	head := len(env.Bytes())
 	if len(items) > 0 {
-		env.MarkFilled() // the chunks' elements
+		env.MarkFilled() // the items' fragments
 	}
 	env.EndArray()
 	env.EndObject()
@@ -101,8 +93,8 @@ func (s *server) writeBatch(w http.ResponseWriter, items []batchItemResult) {
 	if _, err := w.Write(env.Bytes()[:head]); err != nil {
 		return // client gone
 	}
-	for _, enc := range chunks {
-		if _, err := w.Write(enc.Bytes()); err != nil {
+	for _, it := range items {
+		if _, err := w.Write(it.bytes()); err != nil {
 			return
 		}
 	}

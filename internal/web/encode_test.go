@@ -71,11 +71,21 @@ func TestResponseEncodingCorpus(t *testing.T) {
 		}
 	}
 	items = append(items, batchItemResult{Chip: "<chip & \u2028>", Error: "eval: \"quoted\"\n\xff"}, batchItemResult{})
+	// The buffered envelope around items encoded as the workers encode
+	// them, item i into writer i mod workers, one writer's items back to
+	// back.
 	for _, workers := range []int{1, 4} {
-		s := newServer(Options{BatchWorkers: workers})
 		for _, all := range []*batchResponse{{Items: items}, {Items: []batchItemResult{}}} {
+			encs := make([]jsonenc.Writer, workers)
+			for k := range encs {
+				encs[k].Reset(true)
+			}
+			encoded := make([]encodedItem, len(all.Items))
+			for i := range all.Items {
+				encoded[i] = appendItem(&encs[i%workers], i, &all.Items[i], false)
+			}
 			rec := httptest.NewRecorder()
-			s.writeBatch(rec, all.Items)
+			writeBuffered(rec, encoded)
 			if got, want := rec.Body.Bytes(), stdJSON(t, all, true); !bytes.Equal(got, want) {
 				t.Errorf("%d workers, %d items: batch response differs:\n got %s\nwant %s", workers, len(all.Items), got, want)
 			}
