@@ -154,7 +154,7 @@ func Lint(dir string, patterns []string, analyzers []*analysis.Analyzer, opt Opt
 
 	var units []unit
 	for _, p := range listed {
-		if p.Standard || p.Module == nil || p.ForTest != "" || p.IsTestBinary() {
+		if p.Standard || p.DepOnly || p.Module == nil || p.ForTest != "" || p.IsTestBinary() {
 			continue
 		}
 		files := absFiles(p.Dir, p.GoFiles)

@@ -183,6 +183,53 @@ func dump(m map[string]int) {
 	}
 }
 
+// TestLintSkipsDependencies lints one package pattern. `go list -deps`
+// also returns the packages it imports; those are not targets, so their
+// findings are not reported and their test files are not type-checked.
+// Those test files may import packages outside the export index
+// (net/http/httptest here), which then type-check from source against a
+// second copy of net/http and fail.
+func TestLintSkipsDependencies(t *testing.T) {
+	dir := writeModule(t, map[string]string{
+		"go.mod": "module example.com/deps\n\ngo 1.22\n",
+		"dep/dep.go": `package dep
+
+import "net/http"
+
+// Handle is a no-op handler.
+func Handle(w http.ResponseWriter, r *http.Request) {}
+
+// Match is a finding the target's run must not report.
+func Match(frac float64) bool { return frac == 0.8 }
+`,
+		"dep/dep_test.go": `package dep
+
+import (
+	"net/http/httptest"
+	"testing"
+)
+
+func TestHandle(t *testing.T) {
+	Handle(httptest.NewRecorder(), httptest.NewRequest("GET", "/", nil))
+}
+`,
+		"target/target.go": `package target
+
+import "example.com/deps/dep"
+
+// Handle forwards to dep.
+var Handle = dep.Handle
+`,
+	})
+	findings, err := Lint(dir, []string{"./target"}, suite.All, Options{Tests: true})
+	if err != nil {
+		t.Fatalf("linting ./target: %v", err)
+	}
+	if len(findings) != 0 {
+		t.Errorf("linting ./target reported %v, want nothing from its dependency", findings)
+	}
+}
+
 // TestLintZeroFindingsEverywhere covers the all-clean path: every
 // analyzer runs and returns nothing, and the (nil) finding list still
 // serializes as an empty JSON array.

@@ -23,6 +23,7 @@ type ListedPackage struct {
 	ForTest      string
 	Name         string
 	Standard     bool
+	DepOnly      bool
 	GoFiles      []string
 	TestGoFiles  []string
 	XTestGoFiles []string
