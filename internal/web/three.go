@@ -103,8 +103,8 @@ func EvaluateThree(p ThreeParams) (*Evaluation, error) {
 	for _, t := range terms {
 		ev.Terms = append(ev.Terms, termView{Component: t.Component.String(), Bound: t.Perf.String()})
 	}
-	lo := units.Intensity(minOf(p.I0, p.I1, p.I2) / 16)
-	hi := units.Intensity(maxOf(p.I0, p.I1, p.I2) * 16)
+	lo := units.Intensity(min(p.I0, p.I1, p.I2) / 16)
+	hi := units.Intensity(max(p.I0, p.I1, p.I2) * 16)
 	ch, err := plot.GablesChart(m, u, lo, hi, 65)
 	if err != nil {
 		return nil, err
@@ -115,26 +115,6 @@ func EvaluateThree(p ThreeParams) (*Evaluation, error) {
 	}
 	ev.SVG = template.HTML(svg)
 	return ev, nil
-}
-
-func minOf(vs ...float64) float64 {
-	out := vs[0]
-	for _, v := range vs[1:] {
-		if v < out {
-			out = v
-		}
-	}
-	return out
-}
-
-func maxOf(vs ...float64) float64 {
-	out := vs[0]
-	for _, v := range vs[1:] {
-		if v > out {
-			out = v
-		}
-	}
-	return out
 }
 
 type threePage struct {
