@@ -34,7 +34,6 @@ import (
 	"strings"
 
 	"github.com/gables-model/gables/internal/erb"
-	"github.com/gables-model/gables/internal/eval"
 	"github.com/gables-model/gables/internal/kernel"
 	"github.com/gables-model/gables/internal/plot"
 	"github.com/gables-model/gables/internal/report"
@@ -55,16 +54,10 @@ func main() {
 	traceFile := flag.String("trace", "", "write a Chrome trace-event/Perfetto JSON trace of every simulation run to this file")
 	metrics := flag.Bool("metrics", false, "print a metrics summary of the traced simulation runs to stderr")
 	verbose := flag.Bool("v", false, "print cache statistics to stderr after the run")
-	backend := flag.String("backend", "", "evaluation backend for the mixing analysis: "+
-		strings.Join(eval.Names(), "|")+" (default sim; auto routes to analytic inside the calibrated envelope)")
 	calibrate := flag.Bool("calibrate", false, "fit (or load) the surrogate calibration for -chip and print the fitted parameters")
 	calibDir := flag.String("calibration-dir", "", "persist surrogate calibration artifacts in this directory (default $"+surrogate.EnvDir+")")
 	flag.Parse()
 
-	if err := selectBackend(*backend); err != nil {
-		fmt.Fprintln(os.Stderr, "gables-erb:", err)
-		os.Exit(1)
-	}
 	if *cacheDir != "" {
 		simcache.EnableDisk(*cacheDir)
 	} else {
@@ -110,19 +103,6 @@ func writeTraceArtifacts(session *trace.Session, traceFile string, metrics bool)
 		return session.WriteSummary(os.Stderr)
 	}
 	return nil
-}
-
-// selectBackend validates -backend at flag-parse time — a typo'd name
-// fails immediately with the allowed set, before any sweep has run — and
-// installs the valid, non-empty name as the process-default evaluator.
-func selectBackend(name string) error {
-	if err := eval.CheckBackend(name); err != nil {
-		return err
-	}
-	if name == "" {
-		return nil
-	}
-	return eval.SetDefault(name)
 }
 
 // chipConfig resolves the -chip flag to a simulated chip preset.

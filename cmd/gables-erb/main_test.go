@@ -7,8 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"github.com/gables-model/gables/internal/eval"
 )
 
 func TestRunDSPOnly(t *testing.T) {
@@ -58,33 +56,6 @@ func TestRunValidationRefined(t *testing.T) {
 	}
 	if err := runValidation("999"); err == nil {
 		t.Error("unknown chip must fail")
-	}
-}
-
-// TestSelectBackend is the flag-parse-time gate: every registered backend
-// name (surrogate included) is accepted, anything else fails immediately
-// with the allowed set.
-func TestSelectBackend(t *testing.T) {
-	defer func() {
-		if err := eval.SetDefault("sim"); err != nil {
-			t.Fatal(err)
-		}
-	}()
-	valid := append([]string{""}, eval.Names()...)
-	for _, name := range valid {
-		if err := selectBackend(name); err != nil {
-			t.Errorf("selectBackend(%q) = %v, want nil", name, err)
-		}
-	}
-	for _, name := range []string{"bogus", "SIM", "simulator"} {
-		err := selectBackend(name)
-		if err == nil {
-			t.Errorf("selectBackend(%q) accepted", name)
-			continue
-		}
-		if !strings.Contains(err.Error(), "allowed:") || !strings.Contains(err.Error(), "surrogate") {
-			t.Errorf("selectBackend(%q) error %q does not list the allowed set", name, err)
-		}
 	}
 }
 

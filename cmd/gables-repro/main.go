@@ -3,9 +3,10 @@
 // rows/series the paper reports, writes each figure as an SVG, and emits a
 // paper-vs-measured summary (the source of EXPERIMENTS.md).
 //
-// Artifacts are computed and rendered concurrently on a bounded worker pool
-// (-j, else GABLES_PARALLEL, else GOMAXPROCS) and then printed in registry
-// order, so the output is byte-identical whatever the pool size.
+// Experiments run concurrently on a bounded worker pool (-j, else
+// GABLES_PARALLEL, else GOMAXPROCS) through experiments.RunAll; their
+// files are then rendered and everything is printed in registry order, so
+// the output is byte-identical whatever the pool size.
 //
 // Simulation runs are memoized through internal/simcache; -cache (or
 // GABLES_CACHE_DIR) adds a persistent on-disk layer so repeated harness
@@ -33,12 +34,10 @@ import (
 	"sort"
 	"strings"
 
-	"github.com/gables-model/gables/internal/eval"
 	"github.com/gables-model/gables/internal/experiments"
 	"github.com/gables-model/gables/internal/parallel"
 	"github.com/gables-model/gables/internal/sim/trace"
 	"github.com/gables-model/gables/internal/simcache"
-	_ "github.com/gables-model/gables/internal/surrogate" // registers -backend=surrogate
 )
 
 func main() {
@@ -51,8 +50,6 @@ func main() {
 	traceFile := flag.String("trace", "", "write a Chrome trace-event/Perfetto JSON trace of every simulation run to this file")
 	metrics := flag.Bool("metrics", false, "print a metrics summary of the traced simulation runs to stderr")
 	verbose := flag.Bool("v", false, "print cache statistics to stderr after the run")
-	backend := flag.String("backend", "", "evaluation backend for evaluator-threaded experiments: "+
-		strings.Join(eval.Names(), "|")+" (default sim; auto routes to analytic inside the calibrated envelope)")
 	flag.Parse()
 
 	if *list {
@@ -60,10 +57,6 @@ func main() {
 			fmt.Println(id)
 		}
 		return
-	}
-	if err := selectBackend(*backend); err != nil {
-		fmt.Fprintln(os.Stderr, "gables-repro:", err)
-		os.Exit(1)
 	}
 	if *cacheDir != "" {
 		simcache.EnableDisk(*cacheDir)
@@ -86,19 +79,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "gables-repro:", err)
 		os.Exit(1)
 	}
-}
-
-// selectBackend validates -backend at flag-parse time — a typo'd name
-// fails immediately with the allowed set, before any experiment has run —
-// and installs the valid, non-empty name as the process-default evaluator.
-func selectBackend(name string) error {
-	if err := eval.CheckBackend(name); err != nil {
-		return err
-	}
-	if name == "" {
-		return nil
-	}
-	return eval.SetDefault(name)
 }
 
 // writeTraceArtifacts exports the session's trace file and/or metrics
@@ -126,22 +106,15 @@ type options struct {
 	jobs int
 }
 
-// renderedFile is one artifact output file, rendered in memory during the
-// parallel phase and written to disk during the ordered print phase.
+// renderedFile is one artifact output file, rendered in memory before
+// anything is printed and written to disk during the ordered print phase.
 type renderedFile struct {
 	name string
 	data string
 }
 
-// artifactOutput bundles an artifact with its pre-rendered files.
-type artifactOutput struct {
-	art  *experiments.Artifact
-	csvs []renderedFile
-	svgs []renderedFile
-}
-
 func run(w io.Writer, o options) error {
-	ids := experiments.IDs()
+	var ids []string
 	if o.only != "" {
 		ids = []string{o.only}
 	}
@@ -150,51 +123,26 @@ func run(w io.Writer, o options) error {
 			return err
 		}
 	}
-
-	// Phase 1: run every experiment and render its files concurrently.
-	// Results come back in ids order regardless of completion order.
-	outs, err := parallel.Map(context.Background(), o.jobs, ids,
-		func(_ context.Context, _ int, id string) (*artifactOutput, error) {
-			art, err := experiments.Run(id)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", id, err)
-			}
-			out := &artifactOutput{art: art}
-			if o.dir != "" && o.csv {
-				for ti, tbl := range art.Tables {
-					out.csvs = append(out.csvs, renderedFile{
-						name: fmt.Sprintf("%s_table%d.csv", art.ID, ti),
-						data: tbl.CSV(),
-					})
-				}
-			}
-			if o.dir != "" {
-				for _, name := range sortedKeys(art.Charts) {
-					svg, err := art.Charts[name].SVG(900, 560)
-					if err != nil {
-						return nil, fmt.Errorf("%s: chart %s: %w", id, name, err)
-					}
-					out.svgs = append(out.svgs, renderedFile{name: name + ".svg", data: svg})
-				}
-				for _, name := range sortedKeys(art.Heatmaps) {
-					svg, err := art.Heatmaps[name].SVG(900, 420)
-					if err != nil {
-						return nil, fmt.Errorf("%s: heatmap %s: %w", id, name, err)
-					}
-					out.svgs = append(out.svgs, renderedFile{name: name + ".svg", data: svg})
-				}
-			}
-			return out, nil
-		})
+	arts, err := experiments.RunAll(context.Background(), o.jobs, ids)
 	if err != nil {
 		return err
 	}
 
-	// Phase 2: print reports and write files sequentially, in ids order.
+	// Render every file first, so a render error fails the run before
+	// any output.
+	files := make([][]renderedFile, len(arts))
+	if o.dir != "" {
+		for i, art := range arts {
+			if files[i], err = render(art, o.csv); err != nil {
+				return err
+			}
+		}
+	}
+
+	// Print reports and write files in registry order.
 	failures := 0
 	var summary []string
-	for _, out := range outs {
-		art := out.art
+	for i, art := range arts {
 		fmt.Fprintf(w, "==== %s: %s ====\n\n", art.ID, art.Title)
 		for _, tbl := range art.Tables {
 			if err := tbl.WriteText(w); err != nil {
@@ -215,7 +163,7 @@ func run(w io.Writer, o options) error {
 			fmt.Fprintln(w, line)
 			summary = append(summary, fmt.Sprintf("%-8s %s", art.ID, line))
 		}
-		for _, f := range append(out.csvs, out.svgs...) {
+		for _, f := range files[i] {
 			path := filepath.Join(o.dir, f.name)
 			if err := os.WriteFile(path, []byte(f.data), 0o644); err != nil {
 				return err
@@ -230,8 +178,34 @@ func run(w io.Writer, o options) error {
 	if failures > 0 {
 		return fmt.Errorf("%d checks failed", failures)
 	}
-	fmt.Fprintf(w, "\nall %d checks passed across %d experiments\n", len(summary), len(ids))
+	fmt.Fprintf(w, "\nall %d checks passed across %d experiments\n", len(summary), len(arts))
 	return nil
+}
+
+// render returns an artifact's files in the order run writes them: each
+// table as CSV (with -csv), then its charts and heatmaps as SVG.
+func render(art *experiments.Artifact, csv bool) ([]renderedFile, error) {
+	var files []renderedFile
+	if csv {
+		for ti, tbl := range art.Tables {
+			files = append(files, renderedFile{name: fmt.Sprintf("%s_table%d.csv", art.ID, ti), data: tbl.CSV()})
+		}
+	}
+	for _, name := range sortedKeys(art.Charts) {
+		svg, err := art.Charts[name].SVG(900, 560)
+		if err != nil {
+			return nil, fmt.Errorf("%s: chart %s: %w", art.ID, name, err)
+		}
+		files = append(files, renderedFile{name: name + ".svg", data: svg})
+	}
+	for _, name := range sortedKeys(art.Heatmaps) {
+		svg, err := art.Heatmaps[name].SVG(900, 420)
+		if err != nil {
+			return nil, fmt.Errorf("%s: heatmap %s: %w", art.ID, name, err)
+		}
+		files = append(files, renderedFile{name: name + ".svg", data: svg})
+	}
+	return files, nil
 }
 
 func sortedKeys[V any](m map[string]V) []string {

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/gables-model/gables/internal/eval"
 	"github.com/gables-model/gables/internal/simcache"
 )
 
@@ -53,13 +52,18 @@ func TestRunNoDir(t *testing.T) {
 
 // TestRunDeterministicAcrossPoolSizes is the acceptance criterion: the full
 // harness output must be byte-identical between a single worker and a wide
-// pool, including every rendered artifact file.
+// pool, including every rendered artifact file. Each run starts from a cold
+// simulation cache, so the wide pool computes its simulations concurrently
+// instead of replaying the sequential run's.
 func TestRunDeterministicAcrossPoolSizes(t *testing.T) {
+	defer simcache.ResetDefault()
 	var seq, par bytes.Buffer
 	seqDir, parDir := t.TempDir(), t.TempDir()
+	simcache.ResetDefault()
 	if err := run(&seq, options{dir: seqDir, csv: true, jobs: 1}); err != nil {
 		t.Fatalf("sequential run failed: %v", err)
 	}
+	simcache.ResetDefault()
 	if err := run(&par, options{dir: parDir, csv: true, jobs: 8}); err != nil {
 		t.Fatalf("parallel run failed: %v", err)
 	}
@@ -136,33 +140,6 @@ func TestRunDeterministicColdVsWarmCache(t *testing.T) {
 	for name, data := range coldFiles {
 		if !bytes.Equal(data, warmFiles[name]) {
 			t.Errorf("artifact %s differs between cold and warm cache runs", name)
-		}
-	}
-}
-
-// TestSelectBackend is the flag-parse-time gate: every registered backend
-// name (surrogate included) is accepted, anything else fails immediately
-// with the allowed set.
-func TestSelectBackend(t *testing.T) {
-	defer func() {
-		if err := eval.SetDefault("sim"); err != nil {
-			t.Fatal(err)
-		}
-	}()
-	valid := append([]string{""}, eval.Names()...)
-	for _, name := range valid {
-		if err := selectBackend(name); err != nil {
-			t.Errorf("selectBackend(%q) = %v, want nil", name, err)
-		}
-	}
-	for _, name := range []string{"bogus", "SIM", "simulator"} {
-		err := selectBackend(name)
-		if err == nil {
-			t.Errorf("selectBackend(%q) accepted", name)
-			continue
-		}
-		if !strings.Contains(err.Error(), "allowed:") || !strings.Contains(err.Error(), "surrogate") {
-			t.Errorf("selectBackend(%q) error %q does not list the allowed set", name, err)
 		}
 	}
 }

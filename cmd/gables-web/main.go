@@ -15,8 +15,9 @@
 // public listener never serves profiling data.
 //
 // The /eval JSON endpoint answers SoC+work queries through the unified
-// evaluator registry; -backend selects the process-default backend it uses
-// when a request does not name one (?backend=analytic|sim|auto).
+// evaluator registry; -backend names the backend it uses when a request
+// does not name one (?backend=analytic|sim|auto|surrogate), and is
+// checked against the registry before the listeners come up.
 // POST /eval/batch answers arrays of the same question. Both run behind
 // the admission limiter: -max-inflight bounds concurrent evaluations,
 // -queue bounds each class's wait queue, and requests beyond both are
@@ -73,8 +74,8 @@ const (
 func main() {
 	addr := flag.String("addr", ":8337", "listen address")
 	pprofPort := flag.Int("pprof", 0, "serve net/http/pprof on localhost:PORT (0 = disabled)")
-	backend := flag.String("backend", "", "default /eval backend: "+
-		strings.Join(eval.Names(), "|")+" (default sim; requests override with ?backend=)")
+	backend := flag.String("backend", "sim", "/eval backend for requests that name none: "+
+		strings.Join(eval.Names(), "|")+" (requests override with ?backend=)")
 	maxInFlight := flag.Int("max-inflight", 0, "max concurrent evaluations (0 = GABLES_MAX_INFLIGHT or default)")
 	queueDepth := flag.Int("queue", 0, "admission queue depth per class (0 = GABLES_QUEUE_DEPTH or default)")
 	peerCache := flag.String("peer-cache", "", "peer replica base URL for sim-cache dedup (empty = GABLES_PEER_CACHE)")
@@ -82,7 +83,7 @@ func main() {
 	peerToken := flag.String("peer-token", "", "shared bearer token for the peer surface and outgoing peer requests (empty = GABLES_PEER_TOKEN)")
 	flag.Parse()
 
-	if err := selectBackend(*backend); err != nil {
+	if _, err := eval.Resolve(*backend); err != nil {
 		fmt.Fprintln(os.Stderr, "gables-web:", err)
 		os.Exit(1)
 	}
@@ -105,6 +106,7 @@ func main() {
 	if *queueDepth > 0 {
 		opts.QueueDepth = *queueDepth
 	}
+	opts.Backend = *backend
 	opts.ServePeer = *servePeer || peerBase != ""
 	opts.PeerToken = token
 
@@ -114,19 +116,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "gables-web:", err)
 		os.Exit(1)
 	}
-}
-
-// selectBackend validates -backend at flag-parse time — a typo'd name
-// fails immediately with the allowed set, before the listeners come up —
-// and installs the valid, non-empty name as the process-default evaluator.
-func selectBackend(name string) error {
-	if err := eval.CheckBackend(name); err != nil {
-		return err
-	}
-	if name == "" {
-		return nil
-	}
-	return eval.SetDefault(name)
 }
 
 // newServer returns an http.Server with the hardening timeouts applied —

@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/gables-model/gables/internal/eval"
 	"github.com/gables-model/gables/internal/web"
 )
 
@@ -190,31 +189,4 @@ func freePort(t *testing.T) int {
 	port := ln.Addr().(*net.TCPAddr).Port
 	ln.Close()
 	return port
-}
-
-// TestSelectBackend is the flag-parse-time gate: every registered backend
-// name (surrogate included) is accepted, anything else fails immediately
-// with the allowed set.
-func TestSelectBackend(t *testing.T) {
-	defer func() {
-		if err := eval.SetDefault("sim"); err != nil {
-			t.Fatal(err)
-		}
-	}()
-	valid := append([]string{""}, eval.Names()...)
-	for _, name := range valid {
-		if err := selectBackend(name); err != nil {
-			t.Errorf("selectBackend(%q) = %v, want nil", name, err)
-		}
-	}
-	for _, name := range []string{"bogus", "SIM", "simulator"} {
-		err := selectBackend(name)
-		if err == nil {
-			t.Errorf("selectBackend(%q) accepted", name)
-			continue
-		}
-		if !strings.Contains(err.Error(), "allowed:") || !strings.Contains(err.Error(), "surrogate") {
-			t.Errorf("selectBackend(%q) error %q does not list the allowed set", name, err)
-		}
-	}
 }

@@ -1,10 +1,11 @@
 // Package maporder flags iteration over Go maps inside functions that
 // produce user-visible output (CSV rows, plot series, report tables, web
 // responses, formatted strings). Go randomizes map iteration order, so
-// such a loop makes output differ run to run — which the CI determinism
-// diff (GABLES_PARALLEL=1 vs =8 must be byte-identical) turns into a hard
-// failure. The fix is the sorted-keys pattern: collect keys, sort, then
-// iterate the slice; the analyzer recognizes that pattern and stays quiet.
+// such a loop makes output differ run to run — which gables-repro's
+// determinism and manifest tests (-j 1 vs -j 8, and committed digests)
+// turn into a hard failure. The fix is the sorted-keys pattern: collect
+// keys, sort, then iterate the slice; the analyzer recognizes that
+// pattern and stays quiet.
 package maporder
 
 import (

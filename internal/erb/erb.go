@@ -160,10 +160,10 @@ type MixingOptions struct {
 	// Workers bounds the grid's worker pool; 0 uses the
 	// GABLES_PARALLEL/GOMAXPROCS default.
 	Workers int
-	// Evaluator answers the grid's queries; nil uses the process default
-	// (eval.Default(), "sim" unless reconfigured). The experiment charges
-	// host coordination, so backends that cannot represent it (analytic)
-	// reject the grid rather than silently answering a different question.
+	// Evaluator answers the grid's queries; nil means eval.NewSim(). The
+	// experiment charges host coordination, so backends that cannot
+	// represent it (analytic) reject the grid rather than silently
+	// answering a different question.
 	Evaluator eval.Evaluator
 }
 
@@ -210,7 +210,7 @@ func Mixing(sys *sim.System, opts MixingOptions) (*MixingResult, error) {
 
 	ev := opts.Evaluator
 	if ev == nil {
-		ev = eval.Default()
+		ev = eval.NewSim()
 	}
 
 	// run answers one cell through the evaluator contract. The default sim

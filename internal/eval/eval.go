@@ -18,9 +18,10 @@
 //     internal/simcache.Run — the single cache integration and, via
 //     simcache.SetProbeFactory, the single trace.Probe attachment point
 //     for every backend that executes simulated work.
-//   - The registry (registry.go) lets harnesses and the cmds select a
-//     backend by name (-backend=analytic|sim|auto), with "auto" choosing
-//     analytic only inside the calibrated envelope.
+//   - The registry (registry.go) lets the web server and harnesses
+//     select a backend by name (analytic|sim|auto), with "auto" choosing
+//     analytic only inside the calibrated envelope. There is no process
+//     default: each caller names its backend or is handed one.
 //
 // Queries are canonically fingerprinted (fingerprint.go) by extending
 // sim.Fingerprint, so an Outcome's identity is content-addressed exactly

@@ -416,23 +416,6 @@ func TestRegistry(t *testing.T) {
 	if _, err := Resolve("nope"); err == nil {
 		t.Error("unknown backend must be rejected")
 	}
-	if err := SetDefault("nope"); err == nil {
-		t.Error("SetDefault of unknown backend must be rejected")
-	}
-	if got := Default().Meta().Name; got != "sim" {
-		t.Errorf("initial default = %q, want sim (measurement semantics)", got)
-	}
-	if err := SetDefault("auto"); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		if err := SetDefault("sim"); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if got := Default().Meta().Name; got != "auto" {
-		t.Errorf("default after SetDefault = %q, want auto", got)
-	}
 	names := Names()
 	if len(names) < 3 {
 		t.Errorf("Names() = %v, want at least analytic/auto/sim", names)

@@ -4,21 +4,20 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 
 	"github.com/gables-model/gables/internal/kernel"
 )
 
-// The backend registry: cmds and harnesses select evaluators by name
-// (-backend=analytic|sim|auto). Construction is lazy so importing eval
-// costs nothing until a backend is used.
+// The backend registry: the web server and harnesses select evaluators by
+// name (analytic|sim|auto, plus surrogate once internal/surrogate is
+// linked in). Construction is lazy so importing eval costs nothing until a
+// backend is used.
 
 var (
-	registryMu  sync.Mutex
-	registry    = map[string]func() (Evaluator, error){}
-	instances   = map[string]Evaluator{}
-	defaultName = "sim"
+	registryMu sync.Mutex
+	registry   = map[string]func() (Evaluator, error){}
+	instances  = map[string]Evaluator{}
 )
 
 // Register adds a named backend constructor. Later registrations of the
@@ -67,50 +66,6 @@ func namesLocked() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// CheckBackend validates a backend name without constructing the backend:
-// the CLIs call it at flag-parse time so a typo'd -backend fails
-// immediately with the allowed set, instead of surfacing later as a
-// registry error mid-run. The empty name is valid (it means "keep the
-// process default").
-func CheckBackend(name string) error {
-	if name == "" {
-		return nil
-	}
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if _, ok := registry[name]; !ok {
-		return fmt.Errorf("eval: unknown backend %q (allowed: %s)", name, strings.Join(namesLocked(), ", "))
-	}
-	return nil
-}
-
-// SetDefault selects the process-default backend (what Default returns
-// and what rethreaded harnesses use when not handed an explicit
-// evaluator). The initial default is "sim": measurement semantics, the
-// historical behavior of every harness path.
-func SetDefault(name string) error {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if _, err := resolveLocked(name); err != nil {
-		return err
-	}
-	defaultName = name
-	return nil
-}
-
-// Default returns the process-default backend.
-func Default() Evaluator {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	ev, err := resolveLocked(defaultName)
-	if err != nil {
-		// The built-in default always resolves; a broken custom
-		// registration falls back to measurement.
-		ev, _ = resolveLocked("sim")
-	}
-	return ev
 }
 
 func init() {

@@ -92,7 +92,7 @@ func (it batchItem) spec() evalQuerySpec {
 // batchRequest is the POST body.
 type batchRequest struct {
 	// Backend selects the evaluator for items that do not name their
-	// own ("" = the process default).
+	// own ("" = the server's Options.Backend).
 	Backend string `json:"backend"`
 	// Items are the queries, answered in order.
 	Items []batchItem `json:"items"`
@@ -370,7 +370,7 @@ func (s *server) planBatch(ctx context.Context, req batchRequest) []batchSlot {
 		}
 		g := byName[name]
 		if g == nil {
-			ev, err := resolveBackend(name)
+			ev, err := s.resolveBackend(name)
 			if err == nil {
 				g = byEval[ev]
 			}

@@ -77,7 +77,7 @@ func (s *server) evalHandler(w http.ResponseWriter, r *http.Request) {
 		evalError(w, http.StatusBadRequest, err)
 		return
 	}
-	ev, err := resolveBackend(form[keyBackend])
+	ev, err := s.resolveBackend(form[keyBackend])
 	if err != nil {
 		evalError(w, http.StatusBadRequest, err)
 		return
@@ -95,11 +95,15 @@ func (s *server) evalHandler(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, &evalResponse{Chip: q.Chip.Name, Backend: o.Backend, Fingerprint: fp, Outcome: o})
 }
 
-// resolveBackend maps a request's backend name to an evaluator: the
-// process default when empty, the registry otherwise.
-func resolveBackend(name string) (eval.Evaluator, error) {
+// resolveBackend maps a request's backend name to a registered
+// evaluator; an empty name means the server's Options.Backend, and an
+// empty Options.Backend means "sim".
+func (s *server) resolveBackend(name string) (eval.Evaluator, error) {
 	if name == "" {
-		return eval.Default(), nil
+		name = s.opts.Backend
+	}
+	if name == "" {
+		name = "sim"
 	}
 	return eval.Resolve(name)
 }

@@ -30,7 +30,7 @@ func TestEvalEndpoint(t *testing.T) {
 	srv := httptest.NewServer(Handler())
 	defer srv.Close()
 
-	// Default query answers with the process-default backend.
+	// Default query answers with the server's default backend.
 	def, status := getEval(t, srv, "")
 	if status != http.StatusOK {
 		t.Fatalf("default query status = %d", status)
@@ -99,6 +99,41 @@ func TestEvalEndpoint(t *testing.T) {
 // in-envelope query is answered by the fitted fast path (Backend
 // "surrogate") with a confidence envelope containing sim's answer, and an
 // out-of-envelope query routes to sim (Backend "sim", no confidence).
+// TestOptionsBackend pins Options.Backend: it answers the /eval queries
+// and /eval/batch items that name no backend, "" means sim, and a named
+// backend still overrides it.
+func TestOptionsBackend(t *testing.T) {
+	for _, tc := range []struct {
+		opts Options
+		want string
+	}{
+		{Options{}, "sim"},
+		{Options{Backend: "analytic"}, "analytic"},
+	} {
+		h := NewHandler(tc.opts)
+		rec := serve(h, http.MethodGet, "/eval?f=0.5&fpw=512", "")
+		var point evalResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &point); err != nil || rec.Code != http.StatusOK {
+			t.Fatalf("%+v: GET /eval status %d, decode %v", tc.opts, rec.Code, err)
+		}
+		if point.Backend != tc.want {
+			t.Errorf("%+v: GET /eval answered by %q, want %q", tc.opts, point.Backend, tc.want)
+		}
+
+		rec = serve(h, http.MethodPost, "/eval/batch", `{"items":[{"f":0.5,"fpw":512},{"f":0.5,"fpw":512,"backend":"auto"}]}`)
+		var batch batchResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &batch); err != nil || rec.Code != http.StatusOK || len(batch.Items) != 2 {
+			t.Fatalf("%+v: POST /eval/batch status %d, decode %v, %d items", tc.opts, rec.Code, err, len(batch.Items))
+		}
+		if got := batch.Items[0].Backend; got != tc.want {
+			t.Errorf("%+v: unnamed batch item answered by %q, want %q", tc.opts, got, tc.want)
+		}
+		if got := batch.Items[1].Backend; got != "analytic" {
+			t.Errorf("%+v: batch item naming auto answered by %q, want analytic (in the envelope)", tc.opts, got)
+		}
+	}
+}
+
 func TestEvalEndpointSurrogate(t *testing.T) {
 	srv := httptest.NewServer(Handler())
 	defer srv.Close()

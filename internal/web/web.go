@@ -190,6 +190,9 @@ var page = template.Must(template.New("page").Parse(`<!DOCTYPE html>
 
 // Options configure a handler's serving policy.
 type Options struct {
+	// Backend names the registered evaluator that answers /eval queries
+	// and /eval/batch items that name none; "" means "sim".
+	Backend string
 	// MaxInFlight bounds concurrent /eval + /eval/batch evaluations;
 	// <= 0 uses DefaultMaxInFlight.
 	MaxInFlight int
