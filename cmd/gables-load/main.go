@@ -97,7 +97,8 @@ type PhaseStats struct {
 	// ShedRate is Shed/Requests.
 	ShedRate float64 `json:"shed_rate"`
 	// CacheHits/CacheMisses are the server-side /stats deltas over the
-	// phase (summed across the web, sim, and eval caches); the warm
+	// phase (summed across the page, sim-run and /eval answer caches;
+	// an /eval answer cache hit reaches no sim run); the warm
 	// phase's hit rate rising toward 1 is the cache trajectory working.
 	CacheHits    int64   `json:"cache_hits"`
 	CacheMisses  int64   `json:"cache_misses"`
@@ -203,8 +204,8 @@ func Percentile(values []float64, q float64) float64 {
 	return sorted[idx]
 }
 
-// cacheCounters is the slice of /stats this tool reads: the two
-// simcache sections' hit/miss counters.
+// cacheCounters is the slice of /stats this tool reads: the hit/miss
+// counters of the two simcache sections and of the /eval answer cache.
 type cacheCounters struct {
 	Hits, Misses int64
 }
@@ -223,7 +224,7 @@ func fetchCacheCounters(client *http.Client, base string) cacheCounters {
 		return cacheCounters{}
 	}
 	var total cacheCounters
-	for _, section := range []string{"web_eval", "sim_runs"} {
+	for _, section := range []string{"web_eval", "sim_runs", "eval_answers"} {
 		raw, ok := snap[section]
 		if !ok {
 			continue

@@ -119,37 +119,19 @@ func (e Envelope) Check(q Query) error {
 	return nil
 }
 
-// Checker gates a router's fast path: nil means the query lies inside the
-// region where the fast backend is trusted. Envelope implements it with
-// the oracle-calibrated constants; the surrogate backend implements it
-// with its per-chip calibration residuals.
-type Checker interface {
-	Check(q Query) error
-}
-
 // Auto routes each query to the cheapest trustworthy backend: the fast
-// evaluator inside the checker's envelope, the fallback otherwise. The
-// produced Outcome's Backend field records which one answered. The
-// registry's "auto" instance pairs analytic with sim under the default
-// envelope; NewRouter builds the same machinery around other pairs (the
-// surrogate backend routes its fitted fast path over sim with it).
+// evaluator inside the envelope, the fallback otherwise. The produced
+// Outcome's Backend field records which one answered. The registry's
+// "auto" instance pairs analytic with sim under the default envelope.
 type Auto struct {
-	name        string
-	description string
-	fast        Evaluator
-	fallback    Evaluator
-	env         Checker
+	fast     Evaluator
+	fallback Evaluator
+	env      Envelope
 }
 
 // NewAuto builds the analytic-over-sim router.
 func NewAuto(analytic, sim Evaluator, env Envelope) *Auto {
-	return NewRouter("auto", "analytic inside the calibrated envelope, sim outside", analytic, sim, env)
-}
-
-// NewRouter builds a named envelope router over an arbitrary fast/fallback
-// pair.
-func NewRouter(name, description string, fast, fallback Evaluator, env Checker) *Auto {
-	return &Auto{name: name, description: description, fast: fast, fallback: fallback, env: env}
+	return &Auto{fast: analytic, fallback: sim, env: env}
 }
 
 // Meta implements Evaluator. The fidelity is the fallback's: that is the
@@ -157,9 +139,9 @@ func NewRouter(name, description string, fast, fallback Evaluator, env Checker) 
 // it inside the envelope.
 func (a *Auto) Meta() Meta {
 	return Meta{
-		Name:        a.name,
+		Name:        "auto",
 		Fidelity:    FidelitySimulation,
-		Description: a.description,
+		Description: "analytic inside the calibrated envelope, sim outside",
 	}
 }
 

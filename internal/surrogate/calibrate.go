@@ -534,10 +534,9 @@ func nearestLog(axis []int, v float64) int {
 	return best
 }
 
-// Check implements the eval Checker contract: nil means the query lies
-// inside the calibrated envelope and the fitted fast path is trusted. The
-// error names the first violated bound — the honest Supports answer for
-// the fitted evaluator.
+// Check reports nil when the query lies inside the calibrated envelope,
+// where the fitted fast path (Answer) is trusted. The error names the
+// first violated bound.
 func (c *Calibration) Check(q eval.Query) error {
 	if err := q.Validate(); err != nil {
 		return err
@@ -600,7 +599,8 @@ func (c *Calibration) raw(q eval.Query) (*eval.Outcome, error) {
 
 // Answer is the fast path: the fitted model's closed-form evaluation,
 // corrected by the query's efficiency bucket and carrying the
-// residual-derived confidence envelope.
+// residual-derived confidence envelope. It is trusted only on queries
+// Check accepts.
 func (c *Calibration) Answer(q eval.Query) (*eval.Outcome, error) {
 	return c.answer(q, c.bucket(q))
 }

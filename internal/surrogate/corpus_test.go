@@ -33,7 +33,7 @@ func TestSurrogateCorpus(t *testing.T) {
 	var sum, worst float64
 	inEnv := 0
 	for _, fx := range eval.DefaultCorpus() {
-		fitted, err := backend.Fitted(ctx, fx.Query.Chip)
+		cal, err := backend.Calibration(ctx, fx.Query.Chip)
 		if err != nil {
 			t.Fatalf("%s: %v", fx.Name, err)
 		}
@@ -46,7 +46,7 @@ func TestSurrogateCorpus(t *testing.T) {
 			t.Fatalf("%s: %v", fx.Name, err)
 		}
 
-		if fitted.Supports(fx.Query) != nil {
+		if cal.Check(fx.Query) != nil {
 			// Out of envelope: the answer must be sim's, byte for byte.
 			gj, _ := json.Marshal(got)
 			wj, _ := json.Marshal(want)

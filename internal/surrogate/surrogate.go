@@ -8,16 +8,15 @@
 // form, microseconds instead of the simulator's ~10 ms, each answer
 // carrying a confidence envelope derived from the calibration residuals.
 //
-// The envelope is honest: Supports on the fitted fast path reports exactly
-// the calibrated region (chip identity by fingerprint, calibrated IPs and
+// The envelope is honest: Calibration.Check reports exactly the
+// calibrated region (chip identity by fingerprint, calibrated IPs and
 // pattern, intensity within the sweep range, DRAM-resident working sets,
 // no coordination/thermal/serialized semantics, bucket residual under the
-// tolerance), and queries outside it route to the sim backend through the
-// same eval.Auto machinery the analytic/sim pair uses — byte-identical to
-// asking sim directly. Calibrations persist as content-addressed JSON
-// artifacts keyed by an //fp:lock-covered fingerprint of (chip, plan), so
-// a config or plan change invalidates them instead of silently answering
-// from a stale fit.
+// tolerance), and queries outside it route to the sim backend,
+// byte-identical to asking sim directly. Calibrations persist as
+// content-addressed JSON artifacts keyed by an //fp:lock-covered
+// fingerprint of (chip, plan), so a config or plan change invalidates them
+// instead of silently answering from a stale fit.
 package surrogate
 
 import (
@@ -64,12 +63,10 @@ type Backend struct {
 
 // chipEntry is one chip's lazily built calibration state.
 type chipEntry struct {
-	mu     sync.Mutex
-	spec   Spec
-	fp     string
-	cal    *Calibration
-	fitted *Fitted
-	router *eval.Auto
+	mu   sync.Mutex
+	spec Spec
+	fp   string
+	cal  *Calibration
 }
 
 // New builds a surrogate backend over a fresh sim fallback.
@@ -108,34 +105,26 @@ func (b *Backend) Meta() eval.Meta {
 }
 
 // Supports implements eval.Evaluator: the backend answers whatever its sim
-// fallback can. The honest envelope lives on the fitted fast path
-// ((*Fitted).Supports) and decides routing, not answerability.
+// fallback can. The honest envelope (Calibration.Check) decides routing,
+// not answerability.
 func (b *Backend) Supports(q eval.Query) error { return b.sim.Supports(q) }
 
-// Evaluate implements eval.Evaluator.
+// Evaluate implements eval.Evaluator: one envelope check routes the query
+// to the calibration's fast answer or to the sim fallback.
 func (b *Backend) Evaluate(ctx context.Context, q eval.Query) (*eval.Outcome, error) {
 	e, err := b.calibrated(ctx, q.Chip)
 	if err != nil {
 		return nil, err
 	}
-	ev := e.router.Pick(q)
-	if ev == eval.Evaluator(e.fitted) {
-		b.fastAnswers.Add(1)
-	} else {
+	if e.cal.Check(q) != nil {
 		b.fallbacks.Add(1)
+		return b.sim.Evaluate(ctx, q)
 	}
-	return ev.Evaluate(ctx, q)
-}
-
-// Fitted returns the chip's fitted fast-path evaluator, calibrating on
-// first use. Its Supports is the honest envelope; its Evaluate never
-// falls back.
-func (b *Backend) Fitted(ctx context.Context, cfg sim.Config) (*Fitted, error) {
-	e, err := b.calibrated(ctx, cfg)
-	if err != nil {
+	b.fastAnswers.Add(1)
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return e.fitted, nil
+	return e.cal.Answer(q)
 }
 
 // Calibration returns the chip's calibration, fitting (or loading the
@@ -211,41 +200,7 @@ func (b *Backend) calibrated(ctx context.Context, cfg sim.Config) (*chipEntry, e
 		b.calibrations.Add(1)
 	}
 	e.cal = cal
-	e.fitted = &Fitted{cal: cal}
-	e.router = eval.NewRouter("surrogate",
-		"fitted roofline inside the calibrated envelope, sim outside",
-		e.fitted, b.sim, cal)
 	return e, nil
-}
-
-// Fitted is a chip's fitted fast-path evaluator: closed-form answers from
-// the calibrated core.Model, no fallback. Supports reports the calibrated
-// envelope honestly.
-type Fitted struct {
-	cal *Calibration
-}
-
-// Meta implements eval.Evaluator.
-func (f *Fitted) Meta() eval.Meta {
-	return eval.Meta{
-		Name:        "surrogate",
-		Fidelity:    eval.FidelityAnalytic,
-		Description: "fitted roofline fast path (calibrated envelope only)",
-	}
-}
-
-// Supports implements eval.Evaluator: exactly the calibrated envelope.
-func (f *Fitted) Supports(q eval.Query) error { return f.cal.Check(q) }
-
-// Evaluate implements eval.Evaluator.
-func (f *Fitted) Evaluate(ctx context.Context, q eval.Query) (*eval.Outcome, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := f.cal.Check(q); err != nil {
-		return nil, err
-	}
-	return f.cal.Answer(q)
 }
 
 // Stats is a point-in-time snapshot of the backend's activity, shaped for

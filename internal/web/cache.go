@@ -65,12 +65,15 @@ func CacheStats() simcache.Stats { return evalCache.Stats() }
 // ResetCache clears the page cache; tests use it for isolation.
 func ResetCache() { evalCache.Reset() }
 
-// statsHandler serves the cache, tracing, surrogate-backend, and admission
-// counters as JSON at /stats. The surrogate section reports the default
-// backend's calibrations (fit parameters, residual summary) and its
-// fast-answer vs sim-fallback routing counts; the admission section is the
-// overload picture (in-flight and queue-depth gauges, admitted/queued/
-// shed/canceled counters — exactly one per evaluation request).
+// statsHandler serves the cache, tracing, surrogate-backend, admission and
+// /eval answer-cache counters as JSON at /stats. The surrogate section
+// reports the default backend's calibrations (fit parameters, residual
+// summary) and its fast-answer vs sim-fallback routing counts, one per
+// evaluation: a /eval answer served from this server's answer cache
+// reaches no backend. The admission section is the overload picture
+// (in-flight and queue-depth gauges, admitted/queued/shed/canceled
+// counters — exactly one per evaluation request); eval_answers is this
+// server's /eval answer cache.
 func (s *server) statsHandler(w http.ResponseWriter, r *http.Request) {
 	snapshot := struct {
 		Web       simcache.Stats    `json:"web_eval"`
@@ -78,7 +81,9 @@ func (s *server) statsHandler(w http.ResponseWriter, r *http.Request) {
 		Trace     trace.GlobalStats `json:"trace"`
 		Surrogate surrogate.Stats   `json:"surrogate"`
 		Admission AdmissionStats    `json:"admission"`
-	}{Web: evalCache.Stats(), Sim: simcache.DefaultStats(), Trace: trace.Stats(), Surrogate: surrogate.DefaultStats(), Admission: s.adm.Stats()}
+		Answers   answerStats       `json:"eval_answers"`
+	}{Web: evalCache.Stats(), Sim: simcache.DefaultStats(), Trace: trace.Stats(), Surrogate: surrogate.DefaultStats(),
+		Admission: s.adm.Stats(), Answers: s.answers.Stats()}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -24,21 +24,26 @@ type jsonAppender interface {
 	appendJSON(w *jsonenc.Writer)
 }
 
-// writeJSON encodes one buffered response with a pooled writer and sends
-// it. An unsupported value fails the whole response with a 500, before
-// any byte of it is committed.
-func writeJSON(w http.ResponseWriter, v jsonAppender) {
+// encodeResponse encodes one buffered response into a pooled writer,
+// which the caller sends and returns with putResponse. An unsupported
+// value is an error, so the caller can fail the whole response with a 500
+// before any byte of it is committed.
+func encodeResponse(v jsonAppender) (*jsonenc.Writer, error) {
 	enc := responsePool.Get().(*jsonenc.Writer)
-	defer putResponse(enc)
 	enc.Reset(true)
 	v.appendJSON(enc)
 	enc.End()
 	if err := enc.Err(); err != nil {
-		evalError(w, http.StatusInternalServerError, err)
-		return
+		putResponse(enc)
+		return nil, err
 	}
+	return enc, nil
+}
+
+// writeBody sends one encoded JSON response.
+func writeBody(w http.ResponseWriter, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
-	w.Write(enc.Bytes())
+	w.Write(body)
 }
 
 // putResponses returns a request's writers to the pool (putResponse).

@@ -1,11 +1,13 @@
 package web
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 
 	"github.com/gables-model/gables/internal/eval"
+	"github.com/gables-model/gables/internal/jsonenc"
 	"github.com/gables-model/gables/internal/sim"
 )
 
@@ -63,36 +65,92 @@ func (p *chipPresets) preset(name string) (*eval.Preset, error) {
 	return nil, fmt.Errorf("unknown chip %q (have snapdragon835, snapdragon821, snapdragon835x)", name)
 }
 
-// evalHandler answers GET /eval.
+// evalHandler answers GET /eval: from the server's answer cache when the
+// same question was answered before, by answering it otherwise.
 func (s *server) evalHandler(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
 		evalError(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed on /eval (use GET; POST /eval/batch for arrays)", r.Method))
 		return
 	}
-	var form evalForm
-	query(r.URL.RawQuery).read(evalKeys[:], form[:])
-	q, err := parseEvalQuery(&form, s.chips)
+	req, err := s.readEval(r.URL.RawQuery)
 	if err != nil {
 		evalError(w, http.StatusBadRequest, err)
 		return
+	}
+	key := req.key()
+	if body, ok := s.answers.get(key); ok {
+		writeBody(w, body)
+		return
+	}
+	enc, status, err := req.answer(r.Context())
+	if err != nil {
+		evalError(w, status, err)
+		return
+	}
+	defer putResponse(enc)
+	s.answers.put(key, enc.Bytes())
+	writeBody(w, enc.Bytes())
+}
+
+// evalRequest is one read GET /eval question: its numbers, its chip's
+// preset and the evaluator that answers it.
+type evalRequest struct {
+	spec   evalQuerySpec
+	preset *eval.Preset
+	ev     eval.Evaluator
+}
+
+// readEval reads a GET /eval query: the eight keys in one pass, the
+// numbers through the shared validated parsers (parse.go, so NaN/Inf and
+// non-positive counts are rejected with the field named), the chip's
+// preset and the backend. It does not build the query, so a cache hit
+// never does.
+func (s *server) readEval(raw string) (evalRequest, error) {
+	var form evalForm
+	query(raw).read(evalKeys[:], form[:])
+	spec, err := parseEvalSpec(&form)
+	if err != nil {
+		return evalRequest{}, err
+	}
+	preset, err := s.chips.preset(spec.Chip)
+	if err != nil {
+		return evalRequest{}, err
 	}
 	ev, err := s.resolveBackend(form[keyBackend])
 	if err != nil {
-		evalError(w, http.StatusBadRequest, err)
-		return
+		// A question that cannot be built is reported before an unknown
+		// backend, the order of /eval's errors.
+		if _, qerr := spec.queryOn(preset); qerr != nil {
+			err = qerr
+		}
+		return evalRequest{}, err
 	}
-	o, err := ev.Evaluate(r.Context(), q)
+	return evalRequest{spec: spec, preset: preset, ev: ev}, nil
+}
+
+// answer is /eval's uncached path: it builds the query, evaluates it,
+// fingerprints it and encodes the response into a pooled writer, which
+// the caller sends and returns with putResponse. On failure it returns
+// the status to report the error with instead.
+func (req *evalRequest) answer(ctx context.Context) (*jsonenc.Writer, int, error) {
+	q, err := req.spec.queryOn(req.preset)
 	if err != nil {
-		evalError(w, http.StatusUnprocessableEntity, err)
-		return
+		return nil, http.StatusBadRequest, err
+	}
+	o, err := req.ev.Evaluate(ctx, q)
+	if err != nil {
+		return nil, http.StatusUnprocessableEntity, err
 	}
 	fp, err := eval.Fingerprint(q)
 	if err != nil {
-		evalError(w, http.StatusInternalServerError, err)
-		return
+		return nil, http.StatusInternalServerError, err
 	}
-	writeJSON(w, &evalResponse{Chip: q.Chip.Name, Backend: o.Backend, Fingerprint: fp, Outcome: o})
+	enc, err := encodeResponse(&evalResponse{Chip: q.Chip.Name, Backend: o.Backend, Fingerprint: fp, Outcome: o})
+	if err != nil {
+		return nil, http.StatusInternalServerError, err
+	}
+	return enc, http.StatusOK, nil
 }
 
 // resolveBackend maps a request's backend name to a registered
@@ -135,11 +193,10 @@ var evalKeys = [...]string{
 // evalForm holds the first value of each of evalKeys.
 type evalForm [len(evalKeys)]string
 
-// parseEvalQuery builds the eval.Query from the request's query values on
-// the server's chip table; all numeric fields go through the shared
-// validated parsers (parse.go), so NaN/Inf and non-positive counts are
-// rejected with the field named.
-func parseEvalQuery(form *evalForm, chips *chipPresets) (eval.Query, error) {
+// parseEvalSpec reads the question's numbers from the request's query
+// values over the shared defaults; all numeric fields go through the
+// shared validated parsers (parse.go).
+func parseEvalSpec(form *evalForm) (evalQuerySpec, error) {
 	spec := defaultEvalSpec()
 	spec.Chip = form[keyChip]
 	spec.Serialized = form[keySerialized] == "1"
@@ -151,7 +208,7 @@ func parseEvalQuery(form *evalForm, chips *chipPresets) (eval.Query, error) {
 	}{{keyF, &spec.F}, {keyDSP, &spec.DSP}} {
 		if v := form[f.key]; v != "" {
 			if *f.dst, err = parseFinite(evalKeys[f.key], v); err != nil {
-				return eval.Query{}, err
+				return evalQuerySpec{}, err
 			}
 		}
 	}
@@ -161,11 +218,11 @@ func parseEvalQuery(form *evalForm, chips *chipPresets) (eval.Query, error) {
 	}{{keyFPW, &spec.FPW}, {keyWords, &spec.Words}, {keyTrials, &spec.Trials}} {
 		if v := form[f.key]; v != "" {
 			if *f.dst, err = parsePositiveInt(evalKeys[f.key], v); err != nil {
-				return eval.Query{}, err
+				return evalQuerySpec{}, err
 			}
 		}
 	}
-	return spec.buildQuery(chips)
+	return spec, nil
 }
 
 // evalError reports an /eval failure as JSON.

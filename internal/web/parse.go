@@ -155,6 +155,11 @@ func (s evalQuerySpec) buildQuery(chips *chipPresets) (eval.Query, error) {
 	if err != nil {
 		return eval.Query{}, err
 	}
+	return s.queryOn(preset)
+}
+
+// queryOn is buildQuery on a resolved preset.
+func (s evalQuerySpec) queryOn(preset *eval.Preset) (eval.Query, error) {
 	if s.FPW <= 0 {
 		return eval.Query{}, fmt.Errorf("fpw must be positive, got %d", s.FPW)
 	}
@@ -176,6 +181,7 @@ func (s evalQuerySpec) buildQuery(chips *chipPresets) (eval.Query, error) {
 	// harnesses' historical arithmetic.
 	shares = append(shares, eval.Share{IP: "CPU", Fraction: 1 - s.F - s.DSP})
 	q := preset.Query()
+	var err error
 	q.Work, err = eval.SplitWork(q.Chip, s.Words, s.FPW, kernel.ReadWrite, shares)
 	if err != nil {
 		return eval.Query{}, err
