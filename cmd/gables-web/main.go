@@ -1,9 +1,10 @@
 // Command gables-web serves the interactive Gables visualization — the
 // repository's counterpart of the interactive tool published on the
-// paper's home page. It renders the two-IP multi-roofline plot live as
-// hardware and usecase parameters change. Identical form submissions are
-// memoized through internal/simcache; /stats reports the cache and
-// tracing counters as JSON.
+// paper's home page. It renders the multi-roofline plot of a two-IP SoC
+// at "/" and of a three-IP SoC at "/three" live as hardware and usecase
+// parameters change. Identical form submissions are memoized in each
+// server's page cache; /stats reports the cache and tracing counters as
+// JSON.
 //
 // Both listeners run as configured http.Servers (header/read/idle
 // timeouts, so a slow-loris client cannot pin connections open forever)
@@ -35,7 +36,7 @@
 //
 // Usage:
 //
-//	gables-web [-addr :8337] [-backend auto] [-pprof 6060]
+//	gables-web [-addr :8337] [-backend sim] [-pprof 6060]
 //	           [-max-inflight 64] [-queue 128]
 //	           [-peer-cache http://replica:8337] [-serve-peer] [-peer-token T]
 package main

@@ -2,29 +2,26 @@ package web
 
 import (
 	"encoding/json"
-	"io"
 	"net/http"
-	"net/http/httptest"
 	"reflect"
+	"sync"
 	"testing"
 
 	"github.com/gables-model/gables/internal/simcache"
 )
 
-func TestEvaluateCachedMatchesDirect(t *testing.T) {
-	ResetCache()
-	defer ResetCache()
-
-	p := DefaultParams()
-	direct, err := Evaluate(p)
+func TestPageCacheMatchesDirect(t *testing.T) {
+	s := newServer(Options{})
+	p := paramsFor(t, twoIP, "")
+	direct, err := twoIP.evaluate(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := EvaluateCached(p)
+	cold, err := s.evaluatePage(twoIP, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := EvaluateCached(p)
+	warm, err := s.evaluatePage(twoIP, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,9 +31,8 @@ func TestEvaluateCachedMatchesDirect(t *testing.T) {
 	if !reflect.DeepEqual(direct, warm) {
 		t.Error("warm cached evaluation differs from direct")
 	}
-	s := CacheStats()
-	if s.Misses != 1 || s.Hits != 1 {
-		t.Errorf("stats = %+v, want 1 miss then 1 hit", s)
+	if st := s.pages.Stats(); st.Misses != 1 || st.Hits != 1 {
+		t.Errorf("stats = %+v, want 1 miss then 1 hit", st)
 	}
 
 	// Returned pages are private copies: mutating one must not poison
@@ -45,7 +41,7 @@ func TestEvaluateCachedMatchesDirect(t *testing.T) {
 	if len(warm.Terms) > 0 {
 		warm.Terms[0].Component = "poisoned"
 	}
-	again, err := EvaluateCached(p)
+	again, err := s.evaluatePage(twoIP, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,79 +50,111 @@ func TestEvaluateCachedMatchesDirect(t *testing.T) {
 	}
 }
 
-func TestEvaluateCachedDistinguishesPages(t *testing.T) {
-	ResetCache()
-	defer ResetCache()
-
-	if _, err := EvaluateCached(DefaultParams()); err != nil {
-		t.Fatal(err)
+func TestPageCacheDistinguishesPages(t *testing.T) {
+	s := newServer(Options{})
+	for _, pg := range pages {
+		if _, err := s.evaluatePage(pg, paramsFor(t, pg, "")); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := EvaluateThreeCached(DefaultThreeParams()); err != nil {
-		t.Fatal(err)
-	}
-	s := CacheStats()
-	if s.Misses != 2 || s.Hits != 0 || s.Entries != 2 {
-		t.Errorf("stats = %+v, want two distinct misses (scoped keys)", s)
+	if st := s.pages.Stats(); st.Misses != 2 || st.Hits != 0 || st.Entries != 2 {
+		t.Errorf("stats = %+v, want two distinct misses (scoped keys)", st)
 	}
 }
 
-func TestEvaluateCachedErrorsNotCached(t *testing.T) {
-	ResetCache()
-	defer ResetCache()
-
-	bad := DefaultParams()
-	bad.F = 5
+func TestPageCacheErrorsNotCached(t *testing.T) {
+	s := newServer(Options{})
+	bad := paramsFor(t, twoIP, "f=5")
 	for i := 0; i < 2; i++ {
-		if _, err := EvaluateCached(bad); err == nil {
+		if _, err := s.evaluatePage(twoIP, bad); err == nil {
 			t.Fatal("invalid params must error")
 		}
 	}
-	s := CacheStats()
-	if s.Entries != 0 || s.Misses != 2 {
-		t.Errorf("stats = %+v, want errors recomputed and never stored", s)
+	if st := s.pages.Stats(); st.Entries != 0 || st.Misses != 2 {
+		t.Errorf("stats = %+v, want errors recomputed and never stored", st)
 	}
 }
 
-func TestStatsEndpoint(t *testing.T) {
-	ResetCache()
-	defer ResetCache()
-
-	srv := httptest.NewServer(Handler())
-	defer srv.Close()
-
-	// Two identical submissions: one miss, one hit.
-	for i := 0; i < 2; i++ {
-		resp, err := http.Get(srv.URL + "/")
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
+// webStats reads the web_eval block of h's /stats.
+func webStats(t *testing.T, h http.Handler) simcache.Stats {
+	t.Helper()
+	rec := serve(h, http.MethodGet, "/stats", "")
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/stats: status %d", rec.Code)
 	}
-
-	resp, err := http.Get(srv.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-		t.Errorf("content type = %q", ct)
+	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+		t.Errorf("/stats: content type %q", ct)
 	}
 	var snapshot struct {
 		Web       simcache.Stats   `json:"web_eval"`
-		Sim       simcache.Stats   `json:"sim_runs"`
 		Surrogate *json.RawMessage `json:"surrogate"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&snapshot); err != nil {
+	if err := json.Unmarshal(rec.Body.Bytes(), &snapshot); err != nil {
 		t.Fatal(err)
-	}
-	if snapshot.Web.Misses != 1 || snapshot.Web.Hits != 1 || snapshot.Web.Entries != 1 {
-		t.Errorf("web stats = %+v, want 1 miss + 1 hit", snapshot.Web)
 	}
 	if snapshot.Surrogate == nil {
 		t.Error("stats payload carries no surrogate section")
+	}
+	return snapshot.Web
+}
+
+func TestStatsEndpoint(t *testing.T) {
+	h := Handler()
+	// Two identical submissions: one miss, one hit.
+	for i := 0; i < 2; i++ {
+		serve(h, http.MethodGet, "/", "")
+	}
+	if st := webStats(t, h); st.Misses != 1 || st.Hits != 1 || st.Entries != 1 {
+		t.Errorf("web stats = %+v, want 1 miss + 1 hit", st)
+	}
+}
+
+// TestPageCacheNotShared: each handler owns its page cache, so pages
+// rendered by one never show in another's counters.
+func TestPageCacheNotShared(t *testing.T) {
+	a, b := Handler(), Handler()
+	serve(a, http.MethodGet, "/", "")
+	serve(a, http.MethodGet, "/three", "")
+	if st := webStats(t, a); st.Misses != 2 || st.Entries != 2 {
+		t.Errorf("first handler: %+v, want 2 misses and 2 entries", st)
+	}
+	if st := webStats(t, b); st != (simcache.Stats{}) {
+		t.Errorf("second handler: %+v, want untouched counters", st)
+	}
+	serve(b, http.MethodGet, "/", "")
+	if st := webStats(t, b); st.Misses != 1 || st.Hits != 0 {
+		t.Errorf("second handler: %+v, want its own miss, not the first's entry", st)
+	}
+}
+
+// TestPageCacheConcurrentIdentical: identical requests racing on one
+// server get identical bytes, and the singleflight renders the page once.
+func TestPageCacheConcurrentIdentical(t *testing.T) {
+	const n = 8
+	h := Handler()
+	bodies := make([]string, n)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range bodies {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			rec := serve(h, http.MethodGet, "/three?f1=0.9&f2=0.1", "")
+			if rec.Code == http.StatusOK {
+				bodies[i] = rec.Body.String()
+			}
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i, body := range bodies {
+		if body == "" || body != bodies[0] {
+			t.Fatalf("request %d: body differs from request 0's", i)
+		}
+	}
+	st := webStats(t, h)
+	if st.Misses != 1 || st.Hits+st.Coalesced != n-1 || st.Entries != 1 {
+		t.Errorf("stats = %+v, want 1 miss and %d hits or coalesced waits", st, n-1)
 	}
 }

@@ -1,28 +1,18 @@
 package web
 
 import (
-	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// getPage fetches one page off a fresh Handler and returns status + body.
-func getPage(t *testing.T, path string) (int, string) {
-	t.Helper()
-	srv := httptest.NewServer(Handler())
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp.StatusCode, string(body)
+// getPage fetches one page off h and returns status + body.
+func getPage(h http.Handler, path string) (int, string) {
+	rec := serve(h, http.MethodGet, path, "")
+	return rec.Code, rec.Body.String()
 }
 
 // Malformed numeric inputs used to be silently swallowed (the field kept
@@ -46,9 +36,10 @@ func TestFormErrorsSurfaced(t *testing.T) {
 		{"three-ip inf", "/three?i2=%2BInf", []string{"finite"}, true},
 		{"three-ip empty is fine", "/three?i2=", nil, true},
 	}
+	h := Handler()
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			status, body := getPage(t, tc.path)
+			status, body := getPage(h, tc.path)
 			if status != http.StatusOK {
 				t.Fatalf("status = %d, want 200", status)
 			}
@@ -67,45 +58,75 @@ func TestFormErrorsSurfaced(t *testing.T) {
 	}
 }
 
-// NaN used to slip through validation entirely: ParseFloat accepts "NaN"
-// and NaN fails every `<= 0` comparison, so the model ran on garbage.
-// Rejecting non-finite values at the form boundary keeps the defaults.
-func TestNonFiniteKeepsDefaults(t *testing.T) {
-	req := httptest.NewRequest("GET", "/?ppeak=NaN&bpeak=Inf&f=-Inf", nil)
-	p, ferrs := parseParams(req)
-	if p != DefaultParams() {
-		t.Errorf("non-finite inputs must keep defaults, got %+v", p)
+// TestParseParams: each field the query sets takes its value, a field it
+// cannot use keeps its default and is reported, in form order, and the
+// page's defaults are never written. Non-finite values are rejected at
+// the form boundary: ParseFloat accepts "NaN", and NaN fails every `<= 0`
+// range check, so it would otherwise reach the model.
+func TestParseParams(t *testing.T) {
+	values := func(pg *page, p pageParams) map[string]float64 {
+		m := map[string]float64{}
+		for _, fields := range [][]field{pg.Hardware, pg.Usecase} {
+			for _, f := range fields {
+				m[f.Key] = p.Value(f)
+			}
+		}
+		return m
 	}
-	if len(ferrs) != 3 {
-		t.Errorf("want 3 form errors, got %+v", ferrs)
+	defaults := map[*page]map[string]float64{}
+	for _, pg := range pages {
+		defaults[pg] = values(pg, pg.defaults)
 	}
-
-	req = httptest.NewRequest("GET", "/three?a1=NaN&f2=Inf", nil)
-	p3, ferrs3 := parseThreeParams(req)
-	if p3 != DefaultThreeParams() {
-		t.Errorf("non-finite inputs must keep defaults, got %+v", p3)
-	}
-	if len(ferrs3) != 2 {
-		t.Errorf("want 2 form errors, got %+v", ferrs3)
+	for _, tc := range []struct {
+		pg     *page
+		target string
+		set    map[string]float64 // fields that take the submitted value
+		errs   []string           // fields reported as form errors
+	}{
+		{twoIP, "/?ppeak=banana&f=0.5", map[string]float64{"f": 0.5}, []string{"ppeak"}},
+		{twoIP, "/?ppeak=NaN&bpeak=Inf&f=-Inf", nil, []string{"ppeak", "bpeak", "f"}},
+		{threeIP, "/three?a1=NaN&f2=Inf", nil, []string{"a1", "f2"}},
+		{threeIP, "/three?a1=3&i2=0.5", map[string]float64{"a1": 3, "i2": 0.5}, nil},
+	} {
+		p, ferrs := tc.pg.parse(httptest.NewRequest("GET", tc.target, nil))
+		want := maps.Clone(defaults[tc.pg])
+		maps.Copy(want, tc.set)
+		if got := values(tc.pg, p); !maps.Equal(got, want) {
+			t.Errorf("%s: params %v, want %v", tc.target, got, want)
+		}
+		var fields []string
+		for _, fe := range ferrs {
+			fields = append(fields, fe.Field)
+		}
+		if !slices.Equal(fields, tc.errs) {
+			t.Errorf("%s: form errors %+v, want one each for %v", tc.target, ferrs, tc.errs)
+		}
+		if got := values(tc.pg, tc.pg.defaults); !maps.Equal(got, defaults[tc.pg]) {
+			t.Fatalf("%s: parsing wrote the page's defaults: %v", tc.target, got)
+		}
 	}
 }
 
 // Form errors are presentation state: the cached evaluation for the same
 // parameters must not replay a previous request's errors.
 func TestFormErrorsNotCached(t *testing.T) {
-	ResetCache()
+	h := Handler()
 	// First request: garbage field → default params evaluation + error.
-	status, body := getPage(t, "/?ppeak=banana")
+	status, body := getPage(h, "/?ppeak=banana")
 	if status != http.StatusOK || !strings.Contains(body, "ppeak=banana") {
 		t.Fatalf("first request must surface the error (status %d)", status)
 	}
-	// Second request: same effective params (all defaults), clean form.
-	// A poisoned cache entry would replay "ppeak=banana" here.
-	status, body = getPage(t, "/")
+	// Second request, to the same handler: same effective params (all
+	// defaults), clean form, so a page-cache hit. A poisoned cache entry
+	// would replay "ppeak=banana" here.
+	status, body = getPage(h, "/")
 	if status != http.StatusOK {
 		t.Fatalf("status = %d", status)
 	}
 	if strings.Contains(body, "rejected") {
 		t.Error("cache replayed a previous request's form errors")
+	}
+	if st := webStats(t, h); st.Hits != 1 {
+		t.Errorf("page cache %+v: the second request must be a hit", st)
 	}
 }

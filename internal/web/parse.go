@@ -17,8 +17,8 @@ import (
 // comparisons are false); the /eval JSON API grew its own local parser
 // without the guard, so ?f=NaN bypassed the fGPU+fDSP > 1 check and
 // reached SplitWork. Both surfaces now route through parseFinite /
-// parsePositiveInt here: the HTML pages fall back to defaults and report a
-// FormError, the JSON endpoints return a 400 naming the field — but the
+// parsePositiveInt here: the HTML pages fall back to defaults and list the
+// fieldError, the JSON endpoints return a 400 naming the field — but the
 // acceptance rules are one implementation.
 
 // query is a request's raw URL query, read without building url.Values:
