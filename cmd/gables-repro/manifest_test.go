@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"flag"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -11,14 +13,15 @@ import (
 	"github.com/gables-model/gables/internal/simcache"
 )
 
+var update = flag.Bool("update", false, "rewrite testdata/manifest from the run")
+
 // manifestPath pins the bytes of a full `gables-repro -dir DIR -csv` run:
 // one "<sha256>  <name>" line for stdout (with the -dir path written as
-// DIR) and for each file the run writes, in `sha256sum -c` format. A
-// change that means to move the paper's output regenerates it from the
-// repository root with
+// DIR) and for each file the run writes, in `sha256sum -c` format, sorted
+// by name. A change that means to move the paper's output regenerates it
+// with
 //
-//	d=$(mktemp -d) && go run ./cmd/gables-repro -dir "$d" -csv | sed "s|$d|DIR|g" > "$d/stdout" &&
-//		(cd "$d" && sha256sum -- *) > cmd/gables-repro/testdata/manifest
+//	go test ./cmd/gables-repro -run TestRunMatchesManifest -update
 //
 // and says why in CHANGES.md.
 const manifestPath = "testdata/manifest"
@@ -26,6 +29,7 @@ const manifestPath = "testdata/manifest"
 // TestRunMatchesManifest regenerates the whole paper on a cold simulation
 // cache and a wide pool, and compares stdout and every artifact with the
 // committed digests, so a failure names the figure or table that moved.
+// With -update it writes the run's digests to the manifest instead.
 func TestRunMatchesManifest(t *testing.T) {
 	simcache.ResetDefault()
 	var out bytes.Buffer
@@ -39,6 +43,16 @@ func TestRunMatchesManifest(t *testing.T) {
 		got[name] = digest(files[name])
 	}
 
+	if *update {
+		var manifest strings.Builder
+		for _, name := range sortedKeys(got) {
+			fmt.Fprintf(&manifest, "%s  %s\n", got[name], name)
+		}
+		if err := os.WriteFile(manifestPath, []byte(manifest.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
 	want := readManifest(t)
 	for _, name := range sortedKeys(want) {
 		switch g, ok := got[name]; {

@@ -87,6 +87,9 @@ type waiter struct {
 // newAdmission. All methods are safe for concurrent use.
 type admission struct {
 	max, depth int
+	// releaseFunc is release as a func value, built once by newAdmission
+	// so that handing it to each request allocates nothing.
+	releaseFunc func()
 
 	mu       sync.Mutex
 	inflight int
@@ -105,7 +108,9 @@ func newAdmission(maxInFlight, queueDepth int) *admission {
 	if queueDepth <= 0 {
 		queueDepth = DefaultQueueDepth
 	}
-	return &admission{max: maxInFlight, depth: queueDepth}
+	a := &admission{max: maxInFlight, depth: queueDepth}
+	a.releaseFunc = a.release
+	return a
 }
 
 // acquire claims an evaluation slot for the class, waiting in its bounded
@@ -118,7 +123,7 @@ func (a *admission) acquire(ctx context.Context, class int) (func(), error) {
 		a.inflight++
 		a.admitted++
 		a.mu.Unlock()
-		return a.release, nil
+		return a.releaseFunc, nil
 	}
 	if len(a.queues[class]) >= a.depth {
 		a.shed++
@@ -133,7 +138,7 @@ func (a *admission) acquire(ctx context.Context, class int) (func(), error) {
 	case <-w.ready:
 		// The granting release counted us as Queued and transferred its
 		// slot; we own it now.
-		return a.release, nil
+		return a.releaseFunc, nil
 	case <-ctx.Done():
 		a.mu.Lock()
 		if w.granted {
@@ -178,7 +183,7 @@ func (a *admission) tryAcquire() (func(), bool) {
 		return nil, false
 	}
 	a.inflight++
-	return a.release, true
+	return a.releaseFunc, true
 }
 
 // release returns a slot: the longest-waiting interactive request is

@@ -1,6 +1,7 @@
 package web
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -310,5 +311,38 @@ func TestAnswerCacheStats(t *testing.T) {
 	getOK(t, h, target)
 	if got := stats(); got.Hits != first.Hits+1 || got.Misses != first.Misses || got.Entries != first.Entries || got.Evictions != 0 {
 		t.Errorf("after a repeat: %+v (before %+v), want exactly one more hit", got, first)
+	}
+}
+
+// TestAnswerCacheHitAllocs pins what a repeated GET /eval costs through
+// the handler as served, with a reused recorder: admission, the query
+// read, the cache lookup, the Content-Type header and the write allocate
+// nothing, and every hit is sent as exactly application/json. The shared
+// Content-Type values must keep cap 1 (encode.go).
+func TestAnswerCacheHitAllocs(t *testing.T) {
+	h := NewHandler(Options{})
+	r := httptest.NewRequest(http.MethodGet, "/eval?chip=snapdragon821&backend=analytic&f=0.35&fpw=128", nil)
+	rec := newBenchRecorder()
+	h.ServeHTTP(rec, r) // the miss that stores the answer
+	if rec.status != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.status, rec.body.Bytes())
+	}
+	want := bytes.Clone(rec.body.Bytes())
+	var bad []string
+	allocs := testing.AllocsPerRun(100, func() {
+		rec.reset()
+		h.ServeHTTP(rec, r)
+		if ct := rec.hdr["Content-Type"]; rec.status != http.StatusOK || len(ct) != 1 || ct[0] != "application/json" || !bytes.Equal(rec.body.Bytes(), want) {
+			bad = append(bad, fmt.Sprintf("status %d, Content-Type %q", rec.status, ct))
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a hit allocates %v times, want 0", allocs)
+	}
+	if len(bad) > 0 {
+		t.Errorf("%d of the hits were not the stored JSON answer; first: %s", len(bad), bad[0])
+	}
+	if cap(jsonTypeHeader) != 1 || cap(ndjsonTypeHeader) != 1 {
+		t.Errorf("shared Content-Type values have cap %d and %d, want 1", cap(jsonTypeHeader), cap(ndjsonTypeHeader))
 	}
 }

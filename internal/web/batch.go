@@ -197,7 +197,7 @@ func (s *server) streamBatch(w http.ResponseWriter, r *http.Request, req batchRe
 		}})
 	}()
 
-	w.Header().Set("Content-Type", ndjsonContentType)
+	setContentType(w, ndjsonTypeHeader)
 	flusher, _ := w.(http.Flusher)
 	ready := make([]bool, n) // the items the workers have reported final
 	unflushed := false

@@ -8,6 +8,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"strings"
 	"testing"
 )
 
@@ -144,28 +146,73 @@ func BenchmarkBatchHandler(b *testing.B) {
 	}
 }
 
-// BenchmarkEvalHandler calls the /eval handler in-process on 480
-// serve-point-shaped questions: the three preset chips, the four
-// backends, fpw 8–512 and ten bands of f, with prebuilt requests and one
-// reused recorder. Each question is answered once before the timer
-// starts, so calibration and sim runs are cache-resident. The cached line
-// is the handler as served, each question a hit in the server's answer
-// cache; the uncached line reads each question and answers it without
-// that cache: query building, the backend's cached or closed-form
-// answer, the fingerprint and the response encoding. Their ratio is the
-// answer cache's speedup.
-func BenchmarkEvalHandler(b *testing.B) {
-	var reqs []*http.Request
+// servePointTargets are 480 serve-point-shaped GET /eval targets: the
+// three preset chips, the four backends, fpw 8–512 and ten bands of f.
+func servePointTargets() []string {
+	var targets []string
 	for _, chip := range []string{"snapdragon835", "snapdragon821", "snapdragon835x"} {
 		for _, backend := range []string{"analytic", "surrogate", "auto", "sim"} {
 			for _, fpw := range []int{8, 32, 128, 512} {
 				for band := 1; band <= 10; band++ {
 					f := 0.1 + 0.08*float64(band-1)
-					target := fmt.Sprintf("/eval?chip=%s&backend=%s&f=%g&fpw=%d", chip, backend, f, fpw)
-					reqs = append(reqs, httptest.NewRequest(http.MethodGet, target, nil))
+					targets = append(targets, fmt.Sprintf("/eval?chip=%s&backend=%s&f=%g&fpw=%d", chip, backend, f, fpw))
 				}
 			}
 		}
+	}
+	return targets
+}
+
+// BenchmarkQueryRead reads /eval's eight keys from the raw queries of the
+// 480 servePointTargets. The onepass line is query.read, as /eval reads
+// them; the parsequery line is url.ParseQuery and one Get per key, the
+// lookup it stands for. Their ratio is the reader's speedup.
+func BenchmarkQueryRead(b *testing.B) {
+	var raws []string
+	for _, target := range servePointTargets() {
+		_, raw, _ := strings.Cut(target, "?")
+		raws = append(raws, raw)
+	}
+	var form evalForm
+	onePass := func(raw string) { query(raw).read(evalKeys[:], form[:]) }
+	parseQuery := func(raw string) {
+		vals, _ := url.ParseQuery(raw)
+		for i, key := range evalKeys {
+			form[i] = vals.Get(key)
+		}
+	}
+	for _, raw := range raws {
+		onePass(raw)
+		want := form
+		if parseQuery(raw); form != want {
+			b.Fatalf("%s: one pass read %q, url.ParseQuery %q", raw, want, form)
+		}
+	}
+	for _, bc := range []struct {
+		name string
+		read func(string)
+	}{{"onepass", onePass}, {"parsequery", parseQuery}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				bc.read(raws[i%len(raws)])
+			}
+		})
+	}
+}
+
+// BenchmarkEvalHandler calls the /eval handler in-process on the 480
+// servePointTargets, with prebuilt requests and one reused recorder. Each
+// question is answered once before the timer starts, so calibration and
+// sim runs are cache-resident. The cached line is the handler as served,
+// each question a hit in the server's answer cache; the uncached line
+// reads each question and answers it without that cache: query building,
+// the backend's cached or closed-form answer, the fingerprint and the
+// response encoding. Their ratio is the answer cache's speedup.
+func BenchmarkEvalHandler(b *testing.B) {
+	var reqs []*http.Request
+	for _, target := range servePointTargets() {
+		reqs = append(reqs, httptest.NewRequest(http.MethodGet, target, nil))
 	}
 	s := newServer(Options{})
 	uncached := func(w http.ResponseWriter, r *http.Request) {

@@ -40,9 +40,27 @@ func encodeResponse(v jsonAppender) (*jsonenc.Writer, error) {
 	return enc, nil
 }
 
+// The Content-Type values of the JSON and NDJSON responses. setContentType
+// assigns one as the header's whole value slice, so every response shares
+// it and setting it allocates nothing. That is safe while no response
+// writes a header value in place: each slice has cap 1, so an Add, which
+// appends, moves the header's values to a new array, and Set and Del
+// replace or drop the slice. Nothing in the tree or in net/http writes a
+// header value in place; keep it so.
+var (
+	jsonTypeHeader   = []string{"application/json"}
+	ndjsonTypeHeader = []string{ndjsonContentType}
+)
+
+// setContentType sets w's Content-Type to v, one of the shared values
+// above, without CanonicalMIMEHeaderKey or a new value slice.
+func setContentType(w http.ResponseWriter, v []string) {
+	w.Header()["Content-Type"] = v
+}
+
 // writeBody sends one encoded JSON response.
 func writeBody(w http.ResponseWriter, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
+	setContentType(w, jsonTypeHeader)
 	w.Write(body)
 }
 
@@ -94,7 +112,7 @@ func writeBuffered(w http.ResponseWriter, items []encodedItem) {
 	env.EndObject()
 	env.End()
 
-	w.Header().Set("Content-Type", "application/json")
+	setContentType(w, jsonTypeHeader)
 	if _, err := w.Write(env.Bytes()[:head]); err != nil {
 		return // client gone
 	}

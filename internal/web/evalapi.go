@@ -227,7 +227,7 @@ func parseEvalSpec(form *evalForm) (evalQuerySpec, error) {
 
 // evalError reports an /eval failure as JSON.
 func evalError(w http.ResponseWriter, status int, err error) {
-	w.Header().Set("Content-Type", "application/json")
+	setContentType(w, jsonTypeHeader)
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 }

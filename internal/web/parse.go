@@ -5,7 +5,6 @@ import (
 	"math"
 	"net/url"
 	"strconv"
-	"strings"
 
 	"github.com/gables-model/gables/internal/eval"
 	"github.com/gables-model/gables/internal/kernel"
@@ -34,60 +33,91 @@ func (q query) Get(key string) string {
 	return v[0]
 }
 
+// The byte classes read acts on: a pair's end, the key's end, a pair
+// ParseQuery skips, and a byte url.QueryUnescape changes.
+const (
+	byteAmp = 1 + iota
+	byteEq
+	byteSemi
+	byteEsc
+)
+
+// queryByte classes each byte for read; every other byte is 0.
+var queryByte = [256]uint8{'&': byteAmp, '=': byteEq, ';': byteSemi, '%': byteEsc, '+': byteEsc}
+
 // read sets vals[i] to the first value of keys[i] (len(vals) ==
-// len(keys) ≤ 64), exactly as url.ParseQuery(raw).Get(keys[i]) would, in
-// one pass over the raw query. It runs ParseQuery's loop (Go 1.24
-// net/url) — cut on '&', skip pairs that are empty or contain ';', cut on
-// '=', unescape key and value and skip the pair on an error — and stops
-// once every key has its value. A key or value is unescaped only when it
-// holds '%' or '+', the only bytes url.QueryUnescape changes, so a query
-// that needs no unescaping is read without allocating.
+// len(keys) ≤ 64), exactly as url.ParseQuery(raw).Get(keys[i]) would. It
+// runs ParseQuery's loop (Go 1.24 net/url) — cut on '&', skip pairs that
+// are empty or contain ';', cut on the first '=', unescape key and value
+// and skip the pair on an error — as one scan of the raw query, which
+// classes each byte through queryByte to find each pair's end, its first
+// '=' and whether its key or value holds '%' or '+', the only bytes
+// url.QueryUnescape changes. Only a key or value holding one is
+// unescaped, so a query that needs no unescaping is read without
+// allocating. It stops once every key has its value.
 func (q query) read(keys, vals []string) {
 	for i := range vals {
 		vals[i] = ""
 	}
 	var found uint64
 	all := uint64(1)<<len(keys) - 1
-	for s := string(q); s != "" && found != all; {
-		var pair string
-		pair, s, _ = strings.Cut(s, "&")
-		if pair == "" || strings.Contains(pair, ";") {
+	s := string(q)
+	for pos := 0; pos < len(s) && found != all; {
+		start, eq := pos, -1
+		var semi, escKey, escVal bool
+		for ; pos < len(s); pos++ {
+			c := queryByte[s[pos]]
+			if c == 0 {
+				continue
+			}
+			if c == byteAmp {
+				break
+			}
+			switch c {
+			case byteEq:
+				if eq < 0 {
+					eq = pos
+				}
+			case byteSemi:
+				semi = true
+			case byteEsc:
+				if eq < 0 {
+					escKey = true
+				} else {
+					escVal = true
+				}
+			}
+		}
+		end := pos
+		pos++ // past the '&'
+		if end == start || semi {
 			continue
 		}
-		k, v, _ := strings.Cut(pair, "=")
-		k, ok := unescape(k)
-		if !ok {
-			continue
+		k, v := s[start:end], ""
+		if eq >= 0 {
+			k, v = s[start:eq], s[eq+1:end]
 		}
-		var hit uint64
+		var err error
+		if escKey {
+			if k, err = url.QueryUnescape(k); err != nil {
+				continue
+			}
+		}
 		for i, key := range keys {
-			if found&(1<<i) == 0 && key == k {
-				hit |= 1 << i
+			if found&(1<<i) != 0 || key != k {
+				continue
 			}
-		}
-		if hit == 0 {
-			continue
-		}
-		if v, ok = unescape(v); !ok {
-			continue
-		}
-		for i := range keys {
-			if hit&(1<<i) != 0 {
-				vals[i] = v
+			if escVal {
+				// The value is unescaped once, at the pair's first key.
+				if v, err = url.QueryUnescape(v); err != nil {
+					break
+				}
+				escVal = false
 			}
+			vals[i] = v
+			found |= 1 << i
 		}
-		found |= hit
 	}
-}
-
-// unescape is url.QueryUnescape, skipped for a string it would return
-// unchanged; ok is false where it fails.
-func unescape(s string) (string, bool) {
-	if !strings.ContainsAny(s, "%+") {
-		return s, true
-	}
-	u, err := url.QueryUnescape(s)
-	return u, err == nil
 }
 
 // fieldError rejects one named input; both surfaces render it their way.

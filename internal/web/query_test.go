@@ -1,6 +1,7 @@
 package web
 
 import (
+	"fmt"
 	"net/url"
 	"strings"
 	"testing"
@@ -36,9 +37,29 @@ func FuzzQueryGet(f *testing.F) {
 		{"f=1&fpw=2&chip=a&f=3", "f", "fpw,chip,f,words"},
 		{"f=&f=2&dsp=%zz&dsp=1", "dsp", "f,dsp,f"},
 		{"a+b=1&a%20b=2&a=3", "a b", "a,a b,b"},
+		{"f=1&", "f", ""},
+		{"f==1", "f", ""},
+		{"f=1=2", "f", ""},
+		{"f=1;2", "f", ""},
+		{"f%41=1&f+=2", "fA", "f ,f"},
+		{"f=1%2E5&fpw=3+2", "f", "fpw"},
+		{"f=%2B1", "f", ""},
+		{"=1", "", "f"},
+		{"&=1", "", ""},
+		{"f=%2541", "f", "f"},
+		{"f=%zz&f=2", "f", "f"},
 	} {
 		f.Add(seed[0], seed[1], seed[2])
 	}
+	// A 64-key set, the most one read takes, every key present.
+	var pairs, more []string
+	for i := 0; i < 64; i++ {
+		pairs = append(pairs, fmt.Sprintf("k%d=%d", i, i))
+		if i > 0 {
+			more = append(more, fmt.Sprintf("k%d", i))
+		}
+	}
+	f.Add(strings.Join(pairs, "&"), "k0", strings.Join(more, ","))
 	f.Fuzz(func(t *testing.T, raw, key, more string) {
 		want, _ := url.ParseQuery(raw)
 		if got := query(raw).Get(key); got != want.Get(key) {

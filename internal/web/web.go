@@ -137,7 +137,7 @@ func (s *server) statsHandler(w http.ResponseWriter, r *http.Request) {
 		Answers   answerStats       `json:"eval_answers"`
 	}{Web: s.pages.Stats(), Sim: simcache.DefaultStats(), Trace: trace.Stats(), Surrogate: surrogate.DefaultStats(),
 		Admission: s.adm.Stats(), Answers: s.answers.Stats()}
-	w.Header().Set("Content-Type", "application/json")
+	setContentType(w, jsonTypeHeader)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(snapshot); err != nil {
