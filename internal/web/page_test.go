@@ -10,7 +10,7 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/pages from the current handler")
+var update = flag.Bool("update", false, "rewrite testdata/pages and testdata/answers from the current handler")
 
 // pagesDir holds one full HTML body per pageCases entry. A change that
 // means to move a page regenerates them with
