@@ -232,14 +232,13 @@ func fetchCacheCounters(client *http.Client, base string) cacheCounters {
 		var s struct {
 			Hits      int64 `json:"hits"`
 			DiskHits  int64 `json:"disk_hits"`
-			PeerHits  int64 `json:"peer_hits"`
 			Coalesced int64 `json:"coalesced"`
 			Misses    int64 `json:"misses"`
 		}
 		if err := json.Unmarshal(raw, &s); err != nil {
 			continue
 		}
-		total.Hits += s.Hits + s.DiskHits + s.PeerHits + s.Coalesced
+		total.Hits += s.Hits + s.DiskHits + s.Coalesced
 		total.Misses += s.Misses
 	}
 	return total

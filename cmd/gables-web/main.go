@@ -24,21 +24,10 @@
 // -queue bounds each class's wait queue, and requests beyond both are
 // shed with 429 (flags override GABLES_MAX_INFLIGHT / GABLES_QUEUE_DEPTH).
 //
-// -peer-cache points the simulation cache at another replica's /simcache/
-// surface (overriding GABLES_PEER_CACHE) so a fleet deduplicates sim work:
-// each replica consults its peer before simulating and pushes fresh
-// results back. This replica's own /simcache/ surface is served only when
-// peer serving is enabled — explicitly with -serve-peer, or implicitly
-// when -peer-cache/GABLES_PEER_CACHE makes it part of a mesh — because
-// the surface accepts cache pushes and so assumes a trusted network;
-// -peer-token (or GABLES_PEER_TOKEN) adds a shared bearer token in both
-// directions for fleets whose network is not.
-//
 // Usage:
 //
 //	gables-web [-addr :8337] [-backend sim] [-pprof 6060]
 //	           [-max-inflight 64] [-queue 128]
-//	           [-peer-cache http://replica:8337] [-serve-peer] [-peer-token T]
 package main
 
 import (
@@ -57,7 +46,6 @@ import (
 	"time"
 
 	"github.com/gables-model/gables/internal/eval"
-	"github.com/gables-model/gables/internal/simcache"
 	"github.com/gables-model/gables/internal/web"
 )
 
@@ -79,26 +67,11 @@ func main() {
 		strings.Join(eval.Names(), "|")+" (requests override with ?backend=)")
 	maxInFlight := flag.Int("max-inflight", 0, "max concurrent evaluations (0 = GABLES_MAX_INFLIGHT or default)")
 	queueDepth := flag.Int("queue", 0, "admission queue depth per class (0 = GABLES_QUEUE_DEPTH or default)")
-	peerCache := flag.String("peer-cache", "", "peer replica base URL for sim-cache dedup (empty = GABLES_PEER_CACHE)")
-	servePeer := flag.Bool("serve-peer", false, "serve this replica's /simcache/ peer surface (implied by -peer-cache/GABLES_PEER_CACHE; assumes a trusted network unless -peer-token is set)")
-	peerToken := flag.String("peer-token", "", "shared bearer token for the peer surface and outgoing peer requests (empty = GABLES_PEER_TOKEN)")
 	flag.Parse()
 
 	if _, err := eval.Resolve(*backend); err != nil {
 		fmt.Fprintln(os.Stderr, "gables-web:", err)
 		os.Exit(1)
-	}
-	peerBase := *peerCache
-	if peerBase == "" {
-		peerBase = os.Getenv(simcache.EnvPeer)
-	}
-	token := *peerToken
-	if token == "" {
-		token = os.Getenv(simcache.EnvPeerToken)
-	}
-	simcache.EnablePeer(peerBase)
-	if token != "" {
-		simcache.EnablePeerToken(token)
 	}
 	opts := web.EnvOptions()
 	if *maxInFlight > 0 {
@@ -108,8 +81,6 @@ func main() {
 		opts.QueueDepth = *queueDepth
 	}
 	opts.Backend = *backend
-	opts.ServePeer = *servePeer || peerBase != ""
-	opts.PeerToken = token
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

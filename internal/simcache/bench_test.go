@@ -1,10 +1,7 @@
 package simcache
 
 import (
-	"errors"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"sync/atomic"
 	"testing"
 
@@ -79,69 +76,6 @@ func BenchmarkCacheWarmGrid(b *testing.B) {
 	if s := DefaultStats(); s.Hits == 0 || s.Evictions > 0 {
 		b.Fatalf("warm grid must run entirely from the memory layer (stats %+v)", s)
 	}
-}
-
-// BenchmarkPeerVsCompute prices the peer tier against the simulation it
-// would save, per benchCells cell. "compute" simulates every cell cold;
-// "peer" serves every cell from a second Cache through PeerHTTPHandler on
-// an httptest loopback server. Each iteration starts from an empty memory
-// layer, so every Get reaches the tier being priced.
-func BenchmarkPeerVsCompute(b *testing.B) {
-	cfg, cells := benchCells()
-	keys := make([]string, len(cells))
-	for j, cell := range cells {
-		keys[j] = sim.Fingerprint(cfg, cell, sim.RunOptions{})
-	}
-	simulate := func(cell []sim.Assignment) func() (*sim.RunResult, error) {
-		return func() (*sim.RunResult, error) {
-			sys, err := sim.New(cfg)
-			if err != nil {
-				return nil, err
-			}
-			return sys.Run(cell, sim.RunOptions{})
-		}
-	}
-	fetchOnly := func() (*sim.RunResult, error) { return nil, errors.New("peer missed") }
-	grid := func(b *testing.B, c *Cache[*sim.RunResult], compute func(int) func() (*sim.RunResult, error)) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			c.Reset()
-			for j := range cells {
-				if _, err := c.Get(keys[j], compute(j)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		b.StopTimer()
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(b.N*len(cells)), "us/cell")
-	}
-
-	b.Run("compute", func(b *testing.B) {
-		c := New[*sim.RunResult](Options{})
-		grid(b, c, func(j int) func() (*sim.RunResult, error) { return simulate(cells[j]) })
-		if s := c.Stats(); s.Misses != int64(len(cells)) {
-			b.Fatalf("compute run must simulate every cell (stats %+v)", s)
-		}
-	})
-	b.Run("peer", func(b *testing.B) {
-		origin := New[*sim.RunResult](Options{})
-		for j, cell := range cells {
-			if _, err := origin.Get(keys[j], simulate(cell)); err != nil {
-				b.Fatal(err)
-			}
-		}
-		mux := http.NewServeMux()
-		mux.Handle(PeerPathPrefix, PeerHTTPHandler(origin))
-		srv := httptest.NewServer(mux)
-		defer srv.Close()
-		c := New[*sim.RunResult](Options{})
-		c.SetPeer(srv.URL)
-		grid(b, c, func(int) func() (*sim.RunResult, error) { return fetchOnly })
-		if s := c.Stats(); s.PeerHits != int64(len(cells)) {
-			b.Fatalf("peer run must fetch every cell (stats %+v)", s)
-		}
-	})
 }
 
 // BenchmarkCacheContention measures warm-hit throughput under parallel

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
@@ -96,6 +97,37 @@ func webStats(t *testing.T, h http.Handler) simcache.Stats {
 		t.Error("stats payload carries no surrogate section")
 	}
 	return snapshot.Web
+}
+
+// TestNoSimcacheSurface pins that nothing outside the process reads or
+// writes the simulation cache: GET and PUT on /simcache/<key> are 404s
+// that leave the sim-run counters untouched, and /stats reports exactly
+// the counters of the cache's tiers (memory, coalesce, disk, compute).
+func TestNoSimcacheSurface(t *testing.T) {
+	h := NewHandler(Options{})
+	before := simcache.DefaultStats()
+	for _, method := range []string{http.MethodGet, http.MethodPut} {
+		if rec := serve(h, method, "/simcache/0123abcd", "{}"); rec.Code != http.StatusNotFound {
+			t.Errorf("%s /simcache/0123abcd: status %d, want 404", method, rec.Code)
+		}
+	}
+	if after := simcache.DefaultStats(); after != before {
+		t.Errorf("sim-run stats moved from %+v to %+v", before, after)
+	}
+	var snapshot struct {
+		Sim map[string]int64 `json:"sim_runs"`
+	}
+	if err := json.Unmarshal(serve(h, http.MethodGet, "/stats", "").Body.Bytes(), &snapshot); err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for k := range snapshot.Sim {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	if want := []string{"bypassed", "coalesced", "disk_hits", "entries", "evictions", "hits", "misses"}; !reflect.DeepEqual(keys, want) {
+		t.Errorf("/stats sim_runs keys = %v, want %v", keys, want)
+	}
 }
 
 func TestStatsEndpoint(t *testing.T) {

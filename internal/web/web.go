@@ -9,7 +9,6 @@ package web
 import (
 	"encoding/json"
 	"net/http"
-	"os"
 
 	"github.com/gables-model/gables/internal/sim/trace"
 	"github.com/gables-model/gables/internal/simcache"
@@ -38,19 +37,6 @@ type Options struct {
 	// against MaxInFlight (see admission.go), so this is a per-request
 	// ceiling, not a grant.
 	BatchWorkers int
-	// ServePeer mounts the simulation cache's peer-serving surface at
-	// /simcache/ so other replicas can deduplicate sim work against this
-	// one. Off by default: the surface accepts cache pushes (PUT), so it
-	// must be an explicit operator decision — gables-web enables it via
-	// -serve-peer, or implicitly when -peer-cache/GABLES_PEER_CACHE
-	// configures this replica as part of a peer mesh.
-	ServePeer bool
-	// PeerToken, when non-empty, requires Authorization: Bearer <token>
-	// on every /simcache/ request (and is what this replica attaches to
-	// its own outgoing peer traffic via simcache.EnablePeerToken). The
-	// unauthenticated surface assumes a trusted network; see
-	// internal/simcache/peer.go.
-	PeerToken string
 }
 
 // server binds the handlers to one admission limiter, its options, its
@@ -64,17 +50,12 @@ type server struct {
 }
 
 // EnvOptions returns Options populated from the environment
-// (GABLES_MAX_INFLIGHT, GABLES_QUEUE_DEPTH, GABLES_PEER_CACHE,
-// GABLES_PEER_TOKEN) or the defaults; gables-web's flags override
-// individual fields on top of it. Peer serving follows peer membership: a
-// replica configured to consult a peer serves its own entries back, so an
-// env-only mesh deduplicates in both directions.
+// (GABLES_MAX_INFLIGHT, GABLES_QUEUE_DEPTH) or the defaults; gables-web's
+// flags override individual fields on top of it.
 func EnvOptions() Options {
 	return Options{
 		MaxInFlight: envLimit(EnvMaxInFlight, DefaultMaxInFlight),
 		QueueDepth:  envLimit(EnvQueueDepth, DefaultQueueDepth),
-		ServePeer:   os.Getenv(simcache.EnvPeer) != "",
-		PeerToken:   os.Getenv(simcache.EnvPeerToken),
 	}
 }
 
@@ -84,11 +65,7 @@ func Handler() http.Handler { return NewHandler(EnvOptions()) }
 // NewHandler returns the HTTP handler serving the interactive pages (the
 // two-IP model at "/", the three-IP model at "/three"), the JSON
 // evaluation API (/eval, /eval/batch) behind the admission limiter, and
-// the counters at /stats. The simulation cache's peer-serving surface at
-// /simcache/ (so replicas can deduplicate sim work fleet-wide; see
-// internal/simcache/peer.go) is mounted only when Options.ServePeer is
-// set — it accepts cache pushes, so it is never exposed by accident — and
-// enforces Options.PeerToken when one is configured.
+// the counters at /stats.
 func NewHandler(opts Options) http.Handler { return newServer(opts).routes() }
 
 // newServer builds one server: its admission limiter, its chip table and
@@ -112,9 +89,6 @@ func (s *server) routes() http.Handler {
 	mux.HandleFunc("/eval", s.admit(classInteractive, s.evalHandler))
 	mux.HandleFunc("/eval/batch", s.admit(classBatch, s.batchHandler))
 	mux.HandleFunc("/stats", s.statsHandler)
-	if s.opts.ServePeer {
-		mux.Handle(simcache.PeerPathPrefix, simcache.DefaultPeerHandler(s.opts.PeerToken))
-	}
 	return mux
 }
 
