@@ -45,7 +45,7 @@ func main() {
 	dir := flag.String("dir", "", "write figure SVGs into this directory")
 	csv := flag.Bool("csv", false, "also write each table as CSV into -dir")
 	list := flag.Bool("list", false, "list experiment ids and exit")
-	jobs := flag.Int("j", 0, "worker pool size (0 = $"+parallel.EnvVar+" or GOMAXPROCS)")
+	jobs := flag.Int("j", 0, "experiment pool size (0 = $"+parallel.EnvVar+" or GOMAXPROCS); the grids and suites inside an experiment always use that default, so -j 1 is not sequential")
 	cacheDir := flag.String("cache", "", "persist simulation results in this directory (default $"+simcache.EnvDir+")")
 	traceFile := flag.String("trace", "", "write a Chrome trace-event/Perfetto JSON trace of every simulation run to this file")
 	metrics := flag.Bool("metrics", false, "print a metrics summary of the traced simulation runs to stderr")

@@ -51,21 +51,24 @@ func TestRunNoDir(t *testing.T) {
 }
 
 // TestRunDeterministicAcrossPoolSizes is the acceptance criterion: the full
-// harness output must be byte-identical between a single worker and a wide
-// pool, including every rendered artifact file. Each run starts from a cold
-// simulation cache, so the wide pool computes its simulations concurrently
-// instead of replaying the sequential run's.
+// harness output must be byte-identical between an experiment pool of one
+// and a wide one, including every rendered artifact file. Each run starts
+// from a cold simulation cache, so the wide pool computes its simulations
+// concurrently instead of replaying the first run's. -j bounds only the
+// experiment pool — the erb grids and usecase suites inside an experiment
+// fan out at GABLES_PARALLEL or GOMAXPROCS in both runs — so neither run is
+// sequential.
 func TestRunDeterministicAcrossPoolSizes(t *testing.T) {
 	defer simcache.ResetDefault()
 	var seq, par bytes.Buffer
 	seqDir, parDir := t.TempDir(), t.TempDir()
 	simcache.ResetDefault()
 	if err := run(&seq, options{dir: seqDir, csv: true, jobs: 1}); err != nil {
-		t.Fatalf("sequential run failed: %v", err)
+		t.Fatalf("-j 1 run failed: %v", err)
 	}
 	simcache.ResetDefault()
 	if err := run(&par, options{dir: parDir, csv: true, jobs: 8}); err != nil {
-		t.Fatalf("parallel run failed: %v", err)
+		t.Fatalf("-j 8 run failed: %v", err)
 	}
 	// The temp dir name is the only legitimate difference in the "wrote"
 	// lines; normalize it away before comparing.
@@ -76,10 +79,10 @@ func TestRunDeterministicAcrossPoolSizes(t *testing.T) {
 	}
 	seqFiles, parFiles := readAll(t, seqDir), readAll(t, parDir)
 	if len(seqFiles) == 0 {
-		t.Fatal("sequential run wrote no artifact files")
+		t.Fatal("the -j 1 run wrote no artifact files")
 	}
 	if len(seqFiles) != len(parFiles) {
-		t.Fatalf("file count differs: %d sequential vs %d parallel", len(seqFiles), len(parFiles))
+		t.Fatalf("file count differs: %d at -j 1 vs %d at -j 8", len(seqFiles), len(parFiles))
 	}
 	for name, data := range seqFiles {
 		if !bytes.Equal(data, parFiles[name]) {

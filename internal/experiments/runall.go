@@ -7,10 +7,13 @@ import (
 	"github.com/gables-model/gables/internal/parallel"
 )
 
-// RunAll executes the given experiments with at most workers goroutines in
+// RunAll executes the given experiments with at most workers of them in
 // flight and returns the artifacts in the same order as ids; nil or empty
 // ids means every registered experiment in IDs() order. workers <= 0 uses
-// the parallel package's GABLES_PARALLEL/GOMAXPROCS default.
+// the parallel package's GABLES_PARALLEL/GOMAXPROCS default. workers bounds
+// only this pool: the erb grids and usecase suites an experiment runs fan
+// out at that default whatever workers is, so workers 1 runs one
+// experiment at a time, not one simulation at a time.
 //
 // Runners are independent by construction — each builds its own chips,
 // models, and simulated systems — so the fan-out changes wall-clock only,

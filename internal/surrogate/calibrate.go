@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"github.com/gables-model/gables/internal/core"
 	"github.com/gables-model/gables/internal/eval"
@@ -709,26 +708,24 @@ func canonicalBottleneck(comp core.Component) eval.Bottleneck {
 // second-tightest constraint time over the tightest (core's batch kernel
 // computes it from CellResults.TopTime and SecondTime).
 func tieRatio(res *core.Result) float64 {
-	var times []float64
+	var first, second float64 // the largest positive times, first >= second
+	note := func(t float64) {
+		switch {
+		case t <= 0:
+		case t > first:
+			first, second = t, first
+		case t > second:
+			second = t
+		}
+	}
 	for _, br := range res.IPs {
-		if br.Time > 0 {
-			times = append(times, float64(br.Time))
-		}
+		note(float64(br.Time))
 	}
-	if res.MemoryTime > 0 {
-		times = append(times, float64(res.MemoryTime))
-	}
+	note(float64(res.MemoryTime))
 	for _, bt := range res.BusTimes {
-		if bt > 0 {
-			times = append(times, float64(bt))
-		}
+		note(float64(bt))
 	}
-	if len(times) < 2 {
-		return 0
-	}
-	sort.Float64s(times)
-	first, second := times[len(times)-1], times[len(times)-2]
-	if first <= 0 {
+	if second == 0 {
 		return 0
 	}
 	return second / first

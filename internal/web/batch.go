@@ -1,9 +1,11 @@
 package web
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,19 +18,20 @@ import (
 // POST /eval/batch: the fleet-scale face of the /eval question. A client
 // submits an array of SoC+work queries and gets per-item outcomes — or
 // per-item errors; a malformed or unanswerable item never fails the
-// request (the transport succeeds, the item reports). Items whose backend
-// names resolve to the same evaluator form one group, whatever order they
-// arrive in. A group whose backend implements eval.BatchEvaluator is
-// answered first, as one slab: every item is made by a preset of the
-// server's chip table, so the analytic backend answers all items for one
-// chip from that preset's compiled plan. Then the request's workers claim
-// the items one at a time, in item order. The worker that claims an item
-// evaluates it if no slab answered it (sim items run concurrently,
-// deduplicated by the simcache singleflight), fingerprints it and encodes
-// it into its own pooled writer: one pass, on one worker, per item. The
-// request's own admission slot covers one worker; each additional worker
-// runs only if it wins a free slot (fanout, admission.tryAcquire), so
-// MaxInFlight bounds real concurrency whatever the batch mix.
+// request (the transport succeeds, the item reports). The request's
+// workers claim runs of consecutive items from one counter (batchRun). A
+// worker builds its run's queries and answers the run's items whose
+// backend names resolve to one eval.BatchEvaluator as one slab, whatever
+// the spelling: every item is made by a preset of the server's chip
+// table, so the analytic backend answers a run's items for one chip from
+// that preset's compiled plan. Then, in item order, it evaluates each
+// item no slab answered (sim items run concurrently, deduplicated by the
+// simcache singleflight), fingerprints it and encodes it into its own
+// pooled writer before it claims again: one pass, on one worker, per
+// item. The request's own admission slot covers one worker; each
+// additional worker runs only if it wins a free slot (fanout,
+// admission.tryAcquire), so MaxInFlight bounds real concurrency whatever
+// the batch mix.
 //
 // A buffered response is written from the workers' bytes, in item order,
 // once every item is final. With ?stream=1 or Accept:
@@ -268,9 +271,9 @@ func appendItem(enc *jsonenc.Writer, i int, res *batchItemResult, stream bool) e
 	return encodedItem{enc: enc, lo: lo, hi: len(enc.Bytes()), err: enc.Err()}
 }
 
-// batchSlot is one item between the request's set-up and its fan-out:
-// its query and how it is answered — by its parse or backend-resolution
-// error, by its slab's outcome, or point-wise by its evaluator.
+// batchSlot is one item of a worker's run: its query and how it is
+// answered — by its parse or backend-resolution error, by its slab's
+// outcome, or point-wise by its evaluator.
 type batchSlot struct {
 	q   eval.Query
 	err error
@@ -284,42 +287,55 @@ type batchSlot struct {
 // body a worker ever encoded.
 const batchBlock = 16 << 10
 
+// batchRun bounds the items a batch worker claims at once. A request of n
+// items on w workers claims runs of min(batchRun, ⌈n/w⌉), so every worker
+// it wins gets work; the bound keeps the last runs short, since a cold sim
+// item costs milliseconds where a slab item costs microseconds.
+const batchRun = 16
+
 // answerBatch answers, fingerprints and encodes every item of req and
 // returns the writers holding the bytes; the caller puts them back
-// (putResponses) once it has sent what it needs. After the slabs
-// (planBatch), the workers the request wins (fanout) claim the items one
-// at a time, in item order — a cold sim item costs milliseconds where a
-// slab item costs microseconds — and the request's goroutine is the
-// first of them. Every extra slot is released, and every worker joined,
+// (putResponses) once it has sent what it needs. The workers the request
+// wins (fanout) claim runs of consecutive items (batchRun) from one
+// counter, and the request's goroutine is the first of them. A worker
+// builds its run's queries and answers its slabs (batchWorker.plan), then
+// answers, fingerprints and encodes each item in item order before it
+// claims again. Every extra slot is released, and every worker joined,
 // before answerBatch returns. Items the request's cancellation kept from
 // being evaluated report the context error, so exactly one of Outcome
 // and Error is set whatever happens.
 func (s *server) answerBatch(ctx context.Context, req batchRequest, out batchOut) []*jsonenc.Writer {
-	slots := s.planBatch(ctx, req)
-	n := len(slots)
+	n := len(req.Items)
 	workers, release := s.fanout(n)
 	defer release()
+	run := min(batchRun, (n+workers-1)/workers)
 	var claimed atomic.Int64
 	held := make([][]*jsonenc.Writer, workers) // each worker's writers
 	work := func(c int) {
+		w := batchWorker{s: s, slots: make([]batchSlot, run), outs: make([]eval.Outcome, run)}
 		var enc *jsonenc.Writer
 		last := -1 // the highest item whose bytes enc holds
 		for {
-			i := int(claimed.Add(1) - 1)
-			if i >= n {
+			lo := int(claimed.Add(int64(run)) - int64(run))
+			if lo >= n {
 				return
 			}
-			res := s.answerItem(ctx, req.Items[i], &slots[i])
-			switch {
-			case enc != nil && out.sent != nil && out.sent.Load() > int64(last):
-				enc.Reset(false) // every line in enc is sent
-			case enc == nil || len(enc.Bytes()) >= batchBlock:
-				enc = responsePool.Get().(*jsonenc.Writer)
-				enc.Reset(!out.stream)
-				held[c] = append(held[c], enc)
+			items := req.Items[lo:min(lo+run, n)]
+			slots := w.plan(ctx, req.Backend, items)
+			for k := range items {
+				i := lo + k
+				res := s.answerItem(ctx, items[k], &slots[k])
+				switch {
+				case enc != nil && out.sent != nil && out.sent.Load() > int64(last):
+					enc.Reset(false) // every line in enc is sent
+				case enc == nil || len(enc.Bytes()) >= batchBlock:
+					enc = responsePool.Get().(*jsonenc.Writer)
+					enc.Reset(!out.stream)
+					held[c] = append(held[c], enc)
+				}
+				last = i
+				out.final(i, appendItem(enc, i, &res, out.stream))
 			}
-			last = i
-			out.final(i, appendItem(enc, i, &res, out.stream))
 		}
 	}
 
@@ -340,88 +356,96 @@ func (s *server) answerBatch(ctx context.Context, req batchRequest, out batchOut
 	return encs
 }
 
-// planBatch builds every item's query and answers the slabs. It buckets
-// the parseable items by the evaluator their backend name resolves to, in
-// first-appearance order (deterministic grouping; answers go back to
-// their item index, so grouping never reorders the response). Two
-// spellings of one backend ("" for the default and its name) share a
-// group, so they share a slab. A name that does not resolve gets a group
-// of its own, whose items all report the resolution error.
-func (s *server) planBatch(ctx context.Context, req batchRequest) []batchSlot {
-	slots := make([]batchSlot, len(req.Items))
-	type group struct {
-		ev   eval.Evaluator
-		err  error
-		idxs []int
-	}
-	var groups []*group
-	byName := make(map[string]*group)
-	byEval := make(map[eval.Evaluator]*group)
-	for i, it := range req.Items {
-		q, err := it.spec().buildQuery(s.chips)
+// batchWorker is one batch worker's scratch, reused from run to run: the
+// backend names it has resolved, and a run's slots, queries and slab
+// outcomes. A run's outcomes are encoded before the worker claims again.
+type batchWorker struct {
+	s        *server
+	backends []batchBackend
+	slots    []batchSlot
+	qs       []eval.Query
+	outs     []eval.Outcome
+}
+
+// batchBackend is a backend name a worker has resolved. be is set on the
+// first name of each eval.BatchEvaluator only, so a run groups its items
+// by the evaluator their name resolves to, not by its spelling.
+type batchBackend struct {
+	name string
+	ev   eval.Evaluator
+	err  error
+	be   eval.BatchEvaluator
+}
+
+// plan builds the queries of one run of items, resolves their backends
+// (an item's own, else the request's def) and answers the run's slabs.
+func (w *batchWorker) plan(ctx context.Context, def string, items []batchItem) []batchSlot {
+	slots := w.slots[:len(items)]
+	for k, it := range items {
+		q, err := it.spec().buildQuery(w.s.chips)
 		if err != nil {
-			slots[i].err = err
+			slots[k] = batchSlot{err: err}
 			continue
 		}
-		slots[i].q = q
-		name := it.Backend
-		if name == "" {
-			name = req.Backend
-		}
-		g := byName[name]
-		if g == nil {
-			ev, err := s.resolveBackend(name)
-			if err == nil {
-				g = byEval[ev]
-			}
-			if g == nil {
-				g = &group{ev: ev, err: err}
-				groups = append(groups, g)
-				if err == nil {
-					byEval[ev] = g
-				}
-			}
-			byName[name] = g
-		}
-		g.idxs = append(g.idxs, i)
+		b := w.resolve(cmp.Or(it.Backend, def))
+		slots[k] = batchSlot{q: q, err: b.err, ev: b.ev}
 	}
-
-	for _, g := range groups {
-		for _, i := range g.idxs {
-			slots[i].ev, slots[i].err = g.ev, g.err
-		}
-		if g.err == nil {
-			slab(ctx, g.ev, g.idxs, slots)
+	outs := w.outs
+	for _, b := range w.backends {
+		if b.be != nil {
+			outs = w.answerSlab(ctx, b.be, slots, outs)
 		}
 	}
 	return slots
 }
 
-// slab answers one backend's items through its batch fast path when it
-// has one and supports every query (the batch contract has no per-item
-// error channel), pointing each item at its outcome. Otherwise the items
-// stay for the point-wise fan-out — also when the slab fails, since a
-// slab error names one query but poisons the whole slab's outcomes, and
-// point-wise each item reports its own.
-func slab(ctx context.Context, ev eval.Evaluator, idxs []int, slots []batchSlot) {
-	be, ok := ev.(eval.BatchEvaluator)
-	if !ok {
-		return
-	}
-	qs := make([]eval.Query, len(idxs))
-	for k, i := range idxs {
-		if be.Supports(slots[i].q) != nil {
-			return
+// resolve returns the worker's entry for a backend name, resolving it on
+// first use.
+func (w *batchWorker) resolve(name string) batchBackend {
+	for _, b := range w.backends {
+		if b.name == name {
+			return b
 		}
-		qs[k] = slots[i].q
 	}
-	out := make([]eval.Outcome, len(qs))
-	if be.EvaluateBatch(ctx, qs, out) != nil {
-		return
+	b := batchBackend{name: name}
+	b.ev, b.err = w.s.resolveBackend(name)
+	if be, ok := b.ev.(eval.BatchEvaluator); ok &&
+		!slices.ContainsFunc(w.backends, func(o batchBackend) bool { return o.ev == b.ev }) {
+		b.be = be
 	}
-	for k, i := range idxs {
-		slots[i].out = &out[k] // out is this slab's own
+	w.backends = append(w.backends, b)
+	return b
+}
+
+// answerSlab answers the run's items that resolved to be as one slab,
+// when be supports every one of them (the batch contract has no per-item
+// error channel), pointing each item at its outcome at the start of outs,
+// and returns the outcomes left unused. Otherwise the items stay for the
+// point-wise pass — also when the slab fails, since a slab error names
+// one query but poisons the whole slab's outcomes, and point-wise each
+// item reports its own.
+func (w *batchWorker) answerSlab(ctx context.Context, be eval.BatchEvaluator, slots []batchSlot, outs []eval.Outcome) []eval.Outcome {
+	w.qs = w.qs[:0]
+	for k := range slots {
+		if slots[k].err == nil && slots[k].ev == be {
+			if be.Supports(slots[k].q) != nil {
+				return outs
+			}
+			w.qs = append(w.qs, slots[k].q)
+		}
 	}
+	n := len(w.qs)
+	if n == 0 || be.EvaluateBatch(ctx, w.qs, outs[:n]) != nil {
+		return outs
+	}
+	j := 0
+	for k := range slots {
+		if slots[k].err == nil && slots[k].ev == be {
+			slots[k].out = &outs[j]
+			j++
+		}
+	}
+	return outs[n:]
 }
 
 // answerItem answers one item: with its error, its slab's outcome, or a

@@ -5,8 +5,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -334,11 +336,12 @@ func TestBatchRequestErrors(t *testing.T) {
 	}
 }
 
-// slabCounter is a batch-capable stub that records the size of every slab
-// it is handed.
+// slabCounter is a batch-capable stub that records the size and the
+// queries of every slab it is handed.
 type slabCounter struct {
-	mu    sync.Mutex
-	slabs []int
+	mu      sync.Mutex
+	slabs   []int
+	queries [][]eval.Query
 }
 
 func (c *slabCounter) Meta() eval.Meta {
@@ -351,6 +354,7 @@ func (c *slabCounter) Evaluate(context.Context, eval.Query) (*eval.Outcome, erro
 func (c *slabCounter) EvaluateBatch(_ context.Context, qs []eval.Query, out []eval.Outcome) error {
 	c.mu.Lock()
 	c.slabs = append(c.slabs, len(qs))
+	c.queries = append(c.queries, slices.Clone(qs))
 	c.mu.Unlock()
 	for i := range out {
 		out[i] = eval.Outcome{Backend: "slab-counter", Attainable: 1, TotalFlops: 1}
@@ -361,8 +365,10 @@ func (c *slabCounter) EvaluateBatch(_ context.Context, qs []eval.Query, out []ev
 // TestBatchGroupsByResolvedBackend pins that /eval/batch groups items by
 // the evaluator their backend name resolves to, not by its spelling: the
 // request-level default and two names of one backend, interleaved, reach
-// it as a single slab, while an unknown name still fails each of its
-// items with the registry's own error text.
+// it as a single slab when one worker's run holds them all, while an
+// unknown name still fails each of its items with the registry's own
+// error text. With more workers each run is answered on its own, so each
+// slab holds the stub's items of one run, both spellings included.
 func TestBatchGroupsByResolvedBackend(t *testing.T) {
 	stub := &slabCounter{}
 	eval.Register("stub-slab-a", func() (eval.Evaluator, error) { return stub, nil })
@@ -371,12 +377,13 @@ func TestBatchGroupsByResolvedBackend(t *testing.T) {
 	if unknown == nil {
 		t.Fatal("unknown backend resolved")
 	}
-	h := NewHandler(Options{})
+	h := NewHandler(Options{BatchWorkers: 1})
 
-	rec := serve(h, http.MethodPost, "/eval/batch", `{"backend":"stub-slab-a","items":[
+	const body = `{"backend":"stub-slab-a","items":[
 		{"f":0.1}, {"backend":"stub-slab-b","f":0.2}, {"backend":"stub-slab-nope"},
 		{"backend":"stub-slab-a","chip":"snapdragon821"}, {"f":2}, {"backend":"stub-slab-b"},
-		{"backend":"stub-slab-nope","chip":"snapdragon835x"}]}`)
+		{"backend":"stub-slab-nope","chip":"snapdragon835x"}]}`
+	rec := serve(h, http.MethodPost, "/eval/batch", body)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body)
 	}
@@ -406,6 +413,47 @@ func TestBatchGroupsByResolvedBackend(t *testing.T) {
 	if len(stub.slabs) != 1 || stub.slabs[0] != 4 {
 		t.Errorf("backend saw slabs %v, want one slab of 4", stub.slabs)
 	}
+
+	// Items 0, 1, 3 and 5 are the stub's. With every admission slot free,
+	// a request wins min(BatchWorkers, 7) workers and claims runs of
+	// min(batchRun, ⌈7/workers⌉) items.
+	stubItems := map[string]int{}
+	for _, i := range []int{0, 1, 3, 5} {
+		stubItems[out.Items[i].Fingerprint] = i
+	}
+	for _, workers := range []int{2, 3, 4} {
+		stub.slabs, stub.queries = nil, nil
+		rec := serve(NewHandler(Options{BatchWorkers: workers}), http.MethodPost, "/eval/batch", body)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("BatchWorkers %d: status %d: %s", workers, rec.Code, rec.Body)
+		}
+		run := min(batchRun, (7+workers-1)/workers)
+		total := 0
+		slabOfRun := map[int]int{} // run → the slab its stub items went to
+		for sl, qs := range stub.queries {
+			total += len(qs)
+			runs := map[int]bool{}
+			for _, q := range qs {
+				fp, err := eval.Fingerprint(q)
+				i, ok := stubItems[fp]
+				if err != nil || !ok {
+					t.Errorf("BatchWorkers %d: slab %d holds a query that is not one of the stub's items", workers, sl)
+					continue
+				}
+				runs[i/run] = true
+				if prev, ok := slabOfRun[i/run]; ok && prev != sl {
+					t.Errorf("BatchWorkers %d: run %d's stub items went to slabs %d and %d", workers, i/run, prev, sl)
+				}
+				slabOfRun[i/run] = sl
+			}
+			if len(runs) > 1 {
+				t.Errorf("BatchWorkers %d: slab %d holds items of %d runs", workers, sl, len(runs))
+			}
+		}
+		if total != 4 {
+			t.Errorf("BatchWorkers %d: backend saw slabs %v, want sizes summing to 4", workers, stub.slabs)
+		}
+	}
 }
 
 // TestFinishItemFingerprintError pins that an answered item whose query
@@ -431,16 +479,35 @@ func TestFinishItemFingerprintError(t *testing.T) {
 // in a response: buffered and NDJSON bodies are byte-identical whatever
 // the worker count, including at MaxInFlight 1, where no extra slot can
 // be won and every item runs inline. Besides serve-batch-shaped bodies it
-// serves one that mixes slab items, point-wise items (surrogate and sim),
-// unparseable items and unknown-backend items.
+// serves one of 40 items that mixes slab items, point-wise items
+// (surrogate and sim), unparseable items and unknown-backend items, laid
+// out so that the run boundaries — at 16 and 32 with one or two workers,
+// at 10, 20 and 30 with four — fall inside a stretch of each kind.
 func TestBatchResponseIndependentOfWorkers(t *testing.T) {
 	bodies := batchBenchBodies(t, 2, batchBenchItems, 7)
 	bodies = append(bodies, []byte(`{"backend":"analytic","items":[
 		{"f":0.5,"fpw":32}, {"backend":"surrogate","f":0.3,"fpw":128}, {"f":2},
 		{"backend":"nope","chip":"snapdragon821"}, {"chip":"snapdragon821","f":0.25},
 		{"backend":"sim","chip":"snapdragon835x","f":0.45,"fpw":512}, {"chip":"nope"},
+
+		{"f":0.2,"fpw":8}, {"chip":"snapdragon835x","f":0.6,"fpw":128}, {"chip":"snapdragon821","f":0.7},
+		{"f":0.35,"dsp":0.25}, {"chip":"snapdragon821","serialized":true}, {"chip":"snapdragon835x","fpw":512},
+		{"backend":"nope"},
+
+		{"backend":"surrogate","f":0.2,"fpw":32}, {"backend":"sim","f":0.45,"fpw":512},
+		{"backend":"surrogate","chip":"snapdragon821","f":0.55,"fpw":8}, {"backend":"auto","f":0.4,"fpw":128},
+		{"backend":"surrogate","chip":"snapdragon835x","f":0.3},
+
+		{"f":1.5}, {"fpw":0}, {"chip":"nope","backend":"surrogate"}, {"trials":-3},
+
 		{"backend":"surrogate","chip":"snapdragon835x","f":0.45,"fpw":512}, {"backend":"nope"},
-		{"serialized":true,"dsp":0.125,"f":0.375}, {"trials":-1,"backend":"surrogate"}, {"words":16777216}]}`))
+		{"serialized":true,"dsp":0.125,"f":0.375}, {"trials":-1,"backend":"surrogate"}, {"words":16777216},
+
+		{"backend":"nope","f":0.3}, {"backend":"nada","chip":"snapdragon821"}, {"backend":"nope","fpw":128},
+		{"backend":"nada"}, {"backend":"nope","chip":"snapdragon835x"}, {"backend":"nada","fpw":8},
+
+		{"chip":"snapdragon821","f":0.15,"fpw":512}, {"f":0.65,"fpw":128}, {"chip":"snapdragon835x","f":0.05},
+		{"backend":"analytic","chip":"snapdragon821","f":0.8}, {"dsp":0.5,"f":0.1}, {"backend":"surrogate","f":0.5}]}`))
 	targets := []string{"/eval/batch", "/eval/batch?stream=1"}
 	var want [][]byte // per body and target, at BatchWorkers 1
 	for _, opts := range []Options{{BatchWorkers: 1}, {BatchWorkers: 2}, {BatchWorkers: 4}, {MaxInFlight: 1, BatchWorkers: 4}} {
@@ -497,4 +564,42 @@ func TestBatchWritersBounded(t *testing.T) {
 		t.Errorf("a stream that keeps up left %d writers, the first holding %d bytes; want one holding one line", len(encs), len(encs[0].Bytes()))
 	}
 	putResponses(encs)
+}
+
+// batchBodyAllocCeiling is what one serve-batch-shaped buffered body
+// allocates through the handler at BatchWorkers 1 (1239–1241 measured,
+// go1.24.0): mostly each item's work split and fingerprint, the
+// surrogate items' outcomes, and each run's slab set-up.
+const batchBodyAllocCeiling = 1241
+
+// TestBatchBodyAllocs pins what one serve-batch-shaped buffered body
+// costs through the handler as served, with a reused recorder and a
+// rewound request body, so that a per-item allocation added anywhere on
+// the batch path shows here as 256 more.
+func TestBatchBodyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's runtime allocates where the served program does not")
+	}
+	h := NewHandler(Options{BatchWorkers: 1})
+	r := httptest.NewRequest(http.MethodPost, "/eval/batch", nil)
+	body := rewindBody{bytes.NewReader(batchBenchBodies(t, 1, batchBenchItems, 1)[0])}
+	r.Body = body
+	rec := newBenchRecorder()
+	post := func() {
+		body.Seek(0, io.SeekStart)
+		rec.reset()
+		h.ServeHTTP(rec, r)
+	}
+	post() // calibrates the surrogate and compiles the presets
+	if rec.status != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.status, rec.body.Bytes())
+	}
+	want := bytes.Clone(rec.body.Bytes())
+	allocs := testing.AllocsPerRun(20, post)
+	if rec.status != http.StatusOK || !bytes.Equal(rec.body.Bytes(), want) {
+		t.Fatalf("status %d: a repeated body was answered differently", rec.status)
+	}
+	if allocs > batchBodyAllocCeiling {
+		t.Errorf("a %d-item body allocates %v times, ceiling %d", batchBenchItems, allocs, batchBodyAllocCeiling)
+	}
 }

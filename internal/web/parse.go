@@ -203,7 +203,7 @@ func (s evalQuerySpec) queryOn(preset *eval.Preset) (eval.Query, error) {
 		return eval.Query{}, fmt.Errorf("fractions f=%v dsp=%v must be non-negative and sum to at most 1", s.F, s.DSP)
 	}
 
-	shares := []eval.Share{{IP: "GPU", Fraction: s.F}}
+	shares := append(make([]eval.Share, 0, 3), eval.Share{IP: "GPU", Fraction: s.F})
 	if s.DSP > 0 {
 		shares = append(shares, eval.Share{IP: "DSP", Fraction: s.DSP})
 	}
