@@ -13,11 +13,10 @@
 // plain-text utilization summary to stderr; both are observe-only but
 // bypass the simulation cache.
 //
-// -calibrate fits (or loads, when -calibration-dir or
-// $GABLES_CALIBRATION_DIR holds a matching artifact) the surrogate
-// backend's calibration for the selected chip and prints the fitted
-// roofline parameters, the efficiency-table residuals, and the artifact's
-// content address.
+// -calibrate fits the surrogate backend's calibration for the selected
+// chip and prints the fitted roofline parameters and the efficiency-table
+// residuals. The fit is deterministic, so two runs print identical bytes;
+// its sweeps go through the simulation cache like every other cell.
 //
 // Usage:
 //
@@ -54,8 +53,7 @@ func main() {
 	traceFile := flag.String("trace", "", "write a Chrome trace-event/Perfetto JSON trace of every simulation run to this file")
 	metrics := flag.Bool("metrics", false, "print a metrics summary of the traced simulation runs to stderr")
 	verbose := flag.Bool("v", false, "print cache statistics to stderr after the run")
-	calibrate := flag.Bool("calibrate", false, "fit (or load) the surrogate calibration for -chip and print the fitted parameters")
-	calibDir := flag.String("calibration-dir", "", "persist surrogate calibration artifacts in this directory (default $"+surrogate.EnvDir+")")
+	calibrate := flag.Bool("calibrate", false, "fit the surrogate calibration for -chip and print the fitted parameters")
 	flag.Parse()
 
 	if *cacheDir != "" {
@@ -70,7 +68,7 @@ func main() {
 	}
 	var err error
 	if *calibrate {
-		err = runCalibrate(os.Stdout, *chip, *calibDir)
+		err = runCalibrate(os.Stdout, *chip)
 	} else {
 		err = run(*chip, *ips, *mixing, *native, *dir)
 		if err == nil && *validate {
@@ -117,23 +115,19 @@ func chipConfig(chip string) (sim.Config, error) {
 	}
 }
 
-// runCalibrate fits (or loads) the surrogate calibration for the chip and
-// prints the fitted roofline parameters and residual summary — the
-// human-readable face of the artifact the surrogate backend answers from.
-func runCalibrate(w io.Writer, chip, dir string) error {
+// runCalibrate fits the surrogate calibration for the chip and prints the
+// fitted roofline parameters and residual summary — the human-readable face
+// of the fit the surrogate backend answers from.
+func runCalibrate(w io.Writer, chip string) error {
 	cfg, err := chipConfig(chip)
 	if err != nil {
 		return err
 	}
-	if dir == "" {
-		dir = os.Getenv(surrogate.EnvDir)
-	}
-	backend := surrogate.New(surrogate.Options{Dir: dir})
-	cal, err := backend.Calibration(context.Background(), cfg)
+	cal, err := surrogate.New(surrogate.Options{}).Calibration(context.Background(), cfg)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "surrogate calibration for %s (fingerprint %s):\n", cal.Chip, cal.Fingerprint)
+	fmt.Fprintf(w, "surrogate calibration for %s:\n", cal.Chip)
 	fmt.Fprintf(w, "  Bpeak: %.4g GB/s\n", cal.Bpeak/1e9)
 	tbl := report.NewTable("fitted rooflines", "IP", "peak GFLOPS/s", "link GB/s", "fit residual")
 	for _, ip := range cal.IPs {
@@ -144,9 +138,6 @@ func runCalibrate(w io.Writer, chip, dir string) error {
 	}
 	fmt.Fprintf(w, "efficiency table: %d buckets, residual mean %.1f%%, max %.1f%%\n",
 		len(cal.Table), 100*cal.ResidualMean, 100*cal.ResidualMax)
-	if dir != "" {
-		fmt.Fprintf(w, "artifact: %s\n", surrogate.NewStore(dir).Path(cal.Fingerprint))
-	}
 	return nil
 }
 

@@ -15,9 +15,7 @@ import (
 
 // Plan is a calibration sweep plan: which IPs to characterize and the
 // ERB-style grid to run through the sim backend. The zero value is
-// completed per chip by withDefaults; the *effective* plan (after
-// defaulting) is what the calibration fingerprint covers, so two chips
-// calibrated with equivalent plans share one artifact.
+// completed per chip by withDefaults.
 type Plan struct {
 	// IPs are the calibrated IPs, first is the reference (A0 = 1).
 	// Defaults to every chip IP in declaration order.
@@ -127,18 +125,12 @@ type EffBucket struct {
 	Cells int `json:"cells"`
 }
 
-// Artifact is the persisted calibration: everything needed to rebuild the
-// fitted model and its envelope without re-running a single simulation.
-// It serializes as deterministic JSON (fixed field order, round-tripping
-// floats), so re-fitting the same chip+plan reproduces the file
-// byte-for-byte — the CI calibration-determinism check diffs exactly that.
+// Artifact is a calibration's fitted result: everything the fitted model
+// and its envelope are rebuilt from. Re-fitting the same chip and plan
+// reproduces it bit for bit (TestCalibrationDeterministic).
 type Artifact struct {
-	// Version is the surrogate FingerprintVersion the artifact was
-	// written under; loads reject other versions.
-	Version int `json:"version"`
-	// Fingerprint is the content address: Fingerprint(Spec{Chip, Plan}).
-	Fingerprint string `json:"fingerprint"`
-	// Chip is the chip name (informational; identity is the fingerprint).
+	// Chip is the chip name (informational; identity is sim.ConfigEqual
+	// against the calibrated configuration).
 	Chip string `json:"chip"`
 	// Plan is the effective (defaulted) sweep plan.
 	Plan Plan `json:"plan"`
@@ -159,8 +151,8 @@ type Artifact struct {
 // measurement.
 const DefaultTolerance = 0.15
 
-// Calibration is a loaded artifact plus the rebuilt fitted model and
-// lookup state the fast path evaluates with.
+// Calibration is a fitted artifact plus the rebuilt model and lookup state
+// the fast path evaluates with.
 type Calibration struct {
 	Artifact
 	chip      sim.Config // the calibrated chip, for per-query identity checks
@@ -171,14 +163,11 @@ type Calibration struct {
 	labels    []string // Table-aligned bucket labels, precomputed off the hot path
 }
 
-// newCalibration rebuilds the evaluation state from an artifact. It is the
-// single construction path: Calibrate also goes through it, so a fit and a
-// load behave identically. complete=false skips the table validation for
-// the mid-calibration base model (the table is derived against it).
-func newCalibration(a *Artifact, tolerance float64, complete bool) (*Calibration, error) {
-	if len(a.IPs) == 0 {
-		return nil, fmt.Errorf("surrogate: artifact %s has no IP fits", a.Fingerprint)
-	}
+// newCalibration rebuilds the evaluation state from an artifact fitted on
+// chip. It is the single construction path: Calibrate builds the
+// mid-calibration base model (whose table is still empty) and the final
+// calibration through it.
+func newCalibration(a *Artifact, chip sim.Config) (*Calibration, error) {
 	ref := a.IPs[0]
 	soc := &core.SoC{
 		Name:            a.Chip + " (surrogate)",
@@ -196,24 +185,18 @@ func newCalibration(a *Artifact, tolerance float64, complete bool) (*Calibration
 	soc.IPs[0].Acceleration = 1 // guard the reference against float drift
 	model, err := core.New(soc)
 	if err != nil {
-		return nil, fmt.Errorf("surrogate: artifact %s: %w", a.Fingerprint, err)
+		return nil, fmt.Errorf("surrogate: fitted model for %s: %w", a.Chip, err)
 	}
 	c := &Calibration{
 		Artifact:  *a,
-		tolerance: tolerance,
+		chip:      chip,
+		tolerance: DefaultTolerance,
 		model:     model,
 		index:     make(map[string]int, len(a.IPs)),
-	}
-	if c.tolerance <= 0 {
-		c.tolerance = DefaultTolerance
 	}
 	for i, fit := range a.IPs {
 		c.index[fit.Name] = i
 		c.maxFitRes = math.Max(c.maxFitRes, fit.Residual)
-	}
-	if complete && len(a.Table) != len(a.Plan.SplitFlopsPerWord)*len(a.Plan.Fractions) {
-		return nil, fmt.Errorf("surrogate: artifact %s table has %d buckets for a %d×%d grid",
-			a.Fingerprint, len(a.Table), len(a.Plan.SplitFlopsPerWord), len(a.Plan.Fractions))
 	}
 	c.labels = make([]string, len(a.Table))
 	for i, b := range a.Table {
@@ -289,20 +272,15 @@ func fitRoofline(pts []point) (peak, bw, resid float64, err error) {
 // Calibrate runs the plan's sweeps through the sim backend (every cell is
 // memoized by simcache, so re-calibration on a warm cache is cheap), fits
 // the effective Gables parameters, and derives the efficiency table. The
-// result is deterministic: identical (chip, plan) inputs produce a
-// byte-identical artifact.
+// result is deterministic: identical (chip, plan) inputs produce an
+// identical artifact, bit for bit.
 func Calibrate(ctx context.Context, cfg sim.Config, plan Plan) (*Calibration, error) {
 	plan = plan.withDefaults(cfg)
 	if err := plan.validate(cfg); err != nil {
 		return nil, err
 	}
 	simEv := eval.NewSim()
-	a := &Artifact{
-		Version:     FingerprintVersion,
-		Fingerprint: Fingerprint(Spec{Chip: cfg, Plan: plan}),
-		Chip:        cfg.Name,
-		Plan:        plan,
-	}
+	a := &Artifact{Chip: cfg.Name, Plan: plan}
 
 	// Per-IP single-IP sweeps → least-squares roofline fits.
 	ipIndex := make(map[string]int, len(cfg.IPs))
@@ -379,11 +357,10 @@ func Calibrate(ctx context.Context, cfg sim.Config, plan Plan) (*Calibration, er
 
 	// Rebuild the fitted model, then sweep the work-split grid to derive
 	// the efficiency table relative to its uncorrected predictions.
-	base, err := newCalibration(a, DefaultTolerance, false)
+	base, err := newCalibration(a, cfg)
 	if err != nil {
 		return nil, err
 	}
-	base.chip = cfg
 	type splitCell struct {
 		accel string
 		fpw   int
@@ -466,12 +443,7 @@ func Calibrate(ctx context.Context, cfg sim.Config, plan Plan) (*Calibration, er
 	if residCount > 0 {
 		a.ResidualMean = residSum / float64(residCount)
 	}
-	cal, err := newCalibration(a, DefaultTolerance, true)
-	if err != nil {
-		return nil, err
-	}
-	cal.chip = cfg
-	return cal, nil
+	return newCalibration(a, cfg)
 }
 
 // bucket maps a query's kernel shape onto the efficiency table: the

@@ -9,19 +9,18 @@
 // carrying a confidence envelope derived from the calibration residuals.
 //
 // The envelope is honest: Calibration.Check reports exactly the
-// calibrated region (chip identity by fingerprint, calibrated IPs and
+// calibrated region (chip identity by sim.ConfigEqual, calibrated IPs and
 // pattern, intensity within the sweep range, DRAM-resident working sets,
 // no coordination/thermal/serialized semantics, bucket residual under the
 // tolerance), and queries outside it route to the sim backend,
-// byte-identical to asking sim directly. Calibrations persist as
-// content-addressed JSON artifacts keyed by an //fp:lock-covered
-// fingerprint of (chip, plan), so a config or plan change invalidates them
-// instead of silently answering from a stale fit.
+// byte-identical to asking sim directly. A calibration lives only in the
+// memory of the backend that fitted it: a fit costs milliseconds per chip,
+// and its sweeps share simulation results across processes through
+// simcache's disk layer (GABLES_CACHE_DIR).
 package surrogate
 
 import (
 	"context"
-	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -35,43 +34,38 @@ type Options struct {
 	// Plan is the calibration sweep plan; zero-value fields are defaulted
 	// per chip (see Plan).
 	Plan Plan
-	// Dir, when non-empty, persists calibrations as
-	// <Dir>/<fingerprint>.json and loads them back on the next run.
-	Dir string
 	// Tolerance is the envelope's residual bound; 0 means
 	// DefaultTolerance.
 	Tolerance float64
 }
 
-// Backend is the surrogate evaluator. It calibrates lazily per chip
-// (keyed by the calibration fingerprint) on the first query that chip
-// sees, then routes every query to the fitted fast path inside the
-// calibrated envelope and to the sim backend outside it. Safe for
-// concurrent use.
+// Backend is the surrogate evaluator. It calibrates lazily per chip on
+// the first query that chip sees, then routes every query to the fitted
+// fast path inside the calibrated envelope and to the sim backend outside
+// it. Safe for concurrent use.
 type Backend struct {
 	opts Options
 	sim  eval.Evaluator
 
 	mu    sync.Mutex
-	chips map[string]*chipEntry
+	chips []*chipEntry // first-seen order, matched with sim.ConfigEqual
 
-	calibrations  atomic.Uint64
-	artifactLoads atomic.Uint64
-	fastAnswers   atomic.Uint64
-	fallbacks     atomic.Uint64
+	calibrations atomic.Uint64
+	fastAnswers  atomic.Uint64
+	fallbacks    atomic.Uint64
 }
 
 // chipEntry is one chip's lazily built calibration state.
 type chipEntry struct {
-	mu   sync.Mutex
-	spec Spec
-	fp   string
-	cal  *Calibration
+	chip sim.Config
+
+	mu  sync.Mutex
+	cal *Calibration
 }
 
 // New builds a surrogate backend over a fresh sim fallback.
 func New(opts Options) *Backend {
-	return &Backend{opts: opts, sim: eval.NewSim(), chips: map[string]*chipEntry{}}
+	return &Backend{opts: opts, sim: eval.NewSim()}
 }
 
 var (
@@ -80,11 +74,10 @@ var (
 )
 
 // Default returns the process-wide surrogate backend (what the registry's
-// "surrogate" name resolves to). Its artifact directory comes from
-// GABLES_CALIBRATION_DIR when set.
+// "surrogate" name resolves to).
 func Default() *Backend {
 	defaultOnce.Do(func() {
-		defaultBackend = New(Options{Dir: os.Getenv(EnvDir)})
+		defaultBackend = New(Options{})
 	})
 	return defaultBackend
 }
@@ -127,8 +120,7 @@ func (b *Backend) Evaluate(ctx context.Context, q eval.Query) (*eval.Outcome, er
 	return e.cal.Answer(q)
 }
 
-// Calibration returns the chip's calibration, fitting (or loading the
-// persisted artifact) on first use.
+// Calibration returns the chip's calibration, fitting it on first use.
 func (b *Backend) Calibration(ctx context.Context, cfg sim.Config) (*Calibration, error) {
 	e, err := b.calibrated(ctx, cfg)
 	if err != nil {
@@ -146,22 +138,20 @@ func (b *Backend) tolerance() float64 {
 
 // calibrated returns the chip's entry, building it on first use. Failures
 // are not latched: a canceled or failed calibration retries on the next
-// query. The hot-path lookup matches the chip structurally (sim.ConfigEqual:
-// bit-exact on every fingerprinted field, nanoseconds) — the full
-// fingerprint is only computed once, when a chip is first seen.
+// query. The lookup matches the chip structurally (sim.ConfigEqual:
+// bit-exact on every fingerprinted field, nanoseconds).
 func (b *Backend) calibrated(ctx context.Context, cfg sim.Config) (*chipEntry, error) {
 	b.mu.Lock()
 	var e *chipEntry
 	for _, cand := range b.chips {
-		if sim.ConfigEqual(cfg, cand.spec.Chip) {
+		if sim.ConfigEqual(cfg, cand.chip) {
 			e = cand
 			break
 		}
 	}
 	if e == nil {
-		spec := Spec{Chip: cfg, Plan: b.opts.Plan.withDefaults(cfg)}
-		e = &chipEntry{spec: spec, fp: Fingerprint(spec)}
-		b.chips[e.fp] = e
+		e = &chipEntry{chip: cfg}
+		b.chips = append(b.chips, e)
 	}
 	b.mu.Unlock()
 
@@ -170,35 +160,12 @@ func (b *Backend) calibrated(ctx context.Context, cfg sim.Config) (*chipEntry, e
 	if e.cal != nil {
 		return e, nil
 	}
-	var cal *Calibration
-	if b.opts.Dir != "" {
-		a, err := NewStore(b.opts.Dir).Load(e.fp)
-		if err != nil {
-			return nil, err
-		}
-		if a != nil {
-			cal, err = newCalibration(a, b.tolerance(), true)
-			if err != nil {
-				return nil, err
-			}
-			cal.chip = e.spec.Chip
-			b.artifactLoads.Add(1)
-		}
+	cal, err := Calibrate(ctx, e.chip, b.opts.Plan)
+	if err != nil {
+		return nil, err
 	}
-	if cal == nil {
-		var err error
-		cal, err = Calibrate(ctx, e.spec.Chip, e.spec.Plan)
-		if err != nil {
-			return nil, err
-		}
-		cal.tolerance = b.tolerance()
-		if b.opts.Dir != "" {
-			if _, err := NewStore(b.opts.Dir).Save(&cal.Artifact); err != nil {
-				return nil, err
-			}
-		}
-		b.calibrations.Add(1)
-	}
+	cal.tolerance = b.tolerance()
+	b.calibrations.Add(1)
 	e.cal = cal
 	return e, nil
 }
@@ -208,8 +175,6 @@ func (b *Backend) calibrated(ctx context.Context, cfg sim.Config) (*chipEntry, e
 type Stats struct {
 	// Calibrations counts cold fits performed by this process.
 	Calibrations uint64 `json:"calibrations"`
-	// ArtifactLoads counts calibrations loaded from persisted artifacts.
-	ArtifactLoads uint64 `json:"artifact_loads"`
 	// FastAnswers counts queries answered by the fitted fast path.
 	FastAnswers uint64 `json:"fast_answers"`
 	// Fallbacks counts queries routed to the sim backend.
@@ -221,7 +186,6 @@ type Stats struct {
 // ModelSummary is one calibrated chip's fit parameters and residuals.
 type ModelSummary struct {
 	Chip         string  `json:"chip"`
-	Fingerprint  string  `json:"fingerprint"`
 	Ppeak        float64 `json:"ppeak"`
 	Bpeak        float64 `json:"bpeak"`
 	IPs          []IPFit `json:"ips"`
@@ -230,20 +194,17 @@ type ModelSummary struct {
 	Buckets      int     `json:"buckets"`
 }
 
-// Stats snapshots the backend's counters and calibrated models (sorted by
-// chip name then fingerprint, so the output is deterministic).
+// Stats snapshots the backend's counters and calibrated models, sorted by
+// chip name and, among chips of one name, in the order they were first
+// seen, so the output is deterministic.
 func (b *Backend) Stats() Stats {
 	s := Stats{
-		Calibrations:  b.calibrations.Load(),
-		ArtifactLoads: b.artifactLoads.Load(),
-		FastAnswers:   b.fastAnswers.Load(),
-		Fallbacks:     b.fallbacks.Load(),
+		Calibrations: b.calibrations.Load(),
+		FastAnswers:  b.fastAnswers.Load(),
+		Fallbacks:    b.fallbacks.Load(),
 	}
 	b.mu.Lock()
-	entries := make([]*chipEntry, 0, len(b.chips))
-	for _, e := range b.chips {
-		entries = append(entries, e)
-	}
+	entries := append([]*chipEntry(nil), b.chips...)
 	b.mu.Unlock()
 	for _, e := range entries {
 		e.mu.Lock()
@@ -254,7 +215,6 @@ func (b *Backend) Stats() Stats {
 		}
 		s.Models = append(s.Models, ModelSummary{
 			Chip:         cal.Chip,
-			Fingerprint:  cal.Fingerprint,
 			Ppeak:        cal.IPs[0].Peak,
 			Bpeak:        cal.Bpeak,
 			IPs:          cal.IPs,
@@ -263,12 +223,7 @@ func (b *Backend) Stats() Stats {
 			Buckets:      len(cal.Table),
 		})
 	}
-	sort.Slice(s.Models, func(i, j int) bool {
-		if s.Models[i].Chip != s.Models[j].Chip {
-			return s.Models[i].Chip < s.Models[j].Chip
-		}
-		return s.Models[i].Fingerprint < s.Models[j].Fingerprint
-	})
+	sort.SliceStable(s.Models, func(i, j int) bool { return s.Models[i].Chip < s.Models[j].Chip })
 	return s
 }
 

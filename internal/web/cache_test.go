@@ -139,6 +139,39 @@ func TestStatsEndpoint(t *testing.T) {
 	if st := webStats(t, h); st.Misses != 1 || st.Hits != 1 || st.Entries != 1 {
 		t.Errorf("web stats = %+v, want 1 miss + 1 hit", st)
 	}
+
+	// The surrogate section reports in-memory fits: no artifact loads,
+	// and no fingerprint per model.
+	if rec := serve(h, http.MethodGet, "/eval?backend=surrogate&f=0.5&fpw=512", ""); rec.Code != http.StatusOK {
+		t.Fatalf("surrogate /eval: status %d", rec.Code)
+	}
+	var snapshot struct {
+		Surrogate map[string]json.RawMessage `json:"surrogate"`
+	}
+	if err := json.Unmarshal(serve(h, http.MethodGet, "/stats", "").Body.Bytes(), &snapshot); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := sortedKeys(snapshot.Surrogate), []string{"calibrations", "fallbacks", "fast_answers", "models"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("/stats surrogate keys = %v, want %v", got, want)
+	}
+	var models []map[string]json.RawMessage
+	if err := json.Unmarshal(snapshot.Surrogate["models"], &models); err != nil || len(models) == 0 {
+		t.Fatalf("/stats surrogate models = %s (%v), want at least one", snapshot.Surrogate["models"], err)
+	}
+	for _, m := range models {
+		if got, want := sortedKeys(m), []string{"bpeak", "buckets", "chip", "ips", "ppeak", "residual_max", "residual_mean"}; !reflect.DeepEqual(got, want) {
+			t.Errorf("/stats surrogate model keys = %v, want %v", got, want)
+		}
+	}
+}
+
+func sortedKeys(m map[string]json.RawMessage) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // TestPageCacheNotShared: each handler owns its page cache, so pages
