@@ -1,7 +1,6 @@
 package simcache
 
 import (
-	"fmt"
 	"sync/atomic"
 	"testing"
 
@@ -79,9 +78,9 @@ func BenchmarkCacheWarmGrid(b *testing.B) {
 }
 
 // BenchmarkCacheContention measures warm-hit throughput under parallel
-// load at 1 vs 16 shards: every Get takes a shard lock, so the sharded
-// layout should scale with workers where the single lock serializes.
-// Keys are picked deterministically (per-goroutine counters, no rand).
+// load: every Get takes the cache's one lock. Run it with -cpu 1,2,4,8 to
+// see how hits scale with goroutines. Keys are picked deterministically
+// (per-goroutine counters, no rand).
 func BenchmarkCacheContention(b *testing.B) {
 	const keys = 1024
 	keyset := make([]string, keys)
@@ -92,31 +91,28 @@ func BenchmarkCacheContention(b *testing.B) {
 		}
 		keyset[i] = k
 	}
-	for _, shards := range []int{1, 16} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			c := New[int](Options{Capacity: 4 * keys, Shards: shards})
-			for i, k := range keyset {
-				if _, err := c.Get(k, func() (int, error) { return i, nil }); err != nil {
-					b.Fatal(err)
-				}
+	c := New[int](Options{Capacity: 4 * keys})
+	for i, k := range keyset {
+		if _, err := c.Get(k, func() (int, error) { return i, nil }); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var next atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := int(next.Add(1)) * 7919 // offset goroutines into the keyset
+		for pb.Next() {
+			k := keyset[i%keys]
+			i++
+			if _, err := c.Get(k, func() (int, error) { return 0, nil }); err != nil {
+				b.Error(err)
+				return
 			}
-			var next atomic.Int64
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				i := int(next.Add(1)) * 7919 // offset goroutines into the keyset
-				for pb.Next() {
-					k := keyset[i%keys]
-					i++
-					if _, err := c.Get(k, func() (int, error) { return 0, nil }); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			b.StopTimer()
-			if s := c.Stats(); s.Misses != keys || s.Evictions != 0 {
-				b.Fatalf("contention run must be all warm hits (stats %+v)", s)
-			}
-		})
+		}
+	})
+	b.StopTimer()
+	if s := c.Stats(); s.Misses != keys || s.Evictions != 0 {
+		b.Fatalf("contention run must be all warm hits (stats %+v)", s)
 	}
 }

@@ -12,10 +12,10 @@
 //     GABLES_CACHE_DIR) lets reruns skip already-simulated points across
 //     processes.
 //
-// The LRU is sharded (power-of-two shard count, per-shard mutex, shard
-// chosen by a hash of the key prefix) so parallel grid workers don't
-// serialize on one lock; a key always maps to one shard, which preserves
-// the singleflight guarantee. Stats are merged across shards on read.
+// One mutex guards the LRU, the flight table, the counters and the disk
+// directory. A hit holds it for a map lookup and a list move, tens of
+// nanoseconds (BenchmarkCacheContention), and a miss drops it while it
+// reads the disk or computes.
 //
 // Correctness contract: a key must be content-addressed — it encodes every
 // input that can influence the value — and the computation must be
@@ -66,32 +66,15 @@ type Stats struct {
 	Entries int `json:"entries"`
 }
 
-// add merges another snapshot into s (Stats is a sum across shards).
-func (s *Stats) add(o Stats) {
-	s.Hits += o.Hits
-	s.DiskHits += o.DiskHits
-	s.Misses += o.Misses
-	s.Coalesced += o.Coalesced
-	s.Bypassed += o.Bypassed
-	s.Evictions += o.Evictions
-	s.Entries += o.Entries
-}
-
 // Options configure a Cache.
 type Options struct {
-	// Capacity bounds the total in-memory entry count; <= 0 uses
+	// Capacity is the most entries the memory layer holds; <= 0 uses
 	// DefaultCapacity.
 	Capacity int
 	// Dir enables the on-disk layer in this directory (created on first
 	// write). Entries are JSON files named <key>.json. Empty disables
 	// the layer.
 	Dir string
-	// Shards sets the LRU shard count, rounded up to a power of two and
-	// capped at Capacity. 0 picks automatically: one shard per 64
-	// entries of capacity, at most 16 — small caches (the kind tests pin
-	// exact eviction order on) stay single-sharded, grid-sized caches
-	// spread contention.
-	Shards int
 }
 
 // DefaultCapacity is the in-memory bound when Options.Capacity is unset:
@@ -100,24 +83,10 @@ type Options struct {
 // in the tens of megabytes.
 const DefaultCapacity = 4096
 
-// maxAutoShards bounds the automatic shard count; contention wins flatten
-// out well before lock count reaches typical grid worker counts.
-const maxAutoShards = 16
-
 // Cache is a bounded, content-addressed result cache with singleflight
 // deduplication. The zero value is not usable; construct with New. All
 // methods are safe for concurrent use.
 type Cache[V any] struct {
-	shards []*shard[V]
-	mask   uint32
-
-	dirMu sync.Mutex
-	dir   string
-}
-
-// shard is one lock domain: a slice of the key space with its own LRU,
-// flight table and counters.
-type shard[V any] struct {
 	capacity int
 
 	mu      sync.Mutex
@@ -125,6 +94,7 @@ type shard[V any] struct {
 	lru     *list.List               // front = most recently used
 	flights map[string]*flight[V]
 	stats   Stats
+	dir     string
 }
 
 type entry[V any] struct {
@@ -139,71 +109,19 @@ type flight[V any] struct {
 	err  error
 }
 
-// shardCount resolves Options.Shards against the capacity.
-func shardCount(requested, capacity int) int {
-	n := requested
-	if n <= 0 {
-		n = capacity / 64
-		if n > maxAutoShards {
-			n = maxAutoShards
-		}
-	}
-	if n > capacity {
-		n = capacity
-	}
-	if n < 1 {
-		n = 1
-	}
-	// Round up to a power of two so shard selection is a mask.
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
-
 // New constructs a cache.
 func New[V any](opts Options) *Cache[V] {
 	capacity := opts.Capacity
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	n := shardCount(opts.Shards, capacity)
-	// Ceil-divide so the shards together hold at least Capacity.
-	per := (capacity + n - 1) / n
-	c := &Cache[V]{
-		shards: make([]*shard[V], n),
-		mask:   uint32(n - 1),
-		dir:    opts.Dir,
+	return &Cache[V]{
+		capacity: capacity,
+		entries:  make(map[string]*list.Element),
+		lru:      list.New(),
+		flights:  make(map[string]*flight[V]),
+		dir:      opts.Dir,
 	}
-	for i := range c.shards {
-		c.shards[i] = &shard[V]{
-			capacity: per,
-			entries:  make(map[string]*list.Element),
-			lru:      list.New(),
-			flights:  make(map[string]*flight[V]),
-		}
-	}
-	return c
-}
-
-// shardFor hashes the key prefix (run fingerprints and sha-256 keys front-
-// load their entropy) onto a shard with FNV-1a.
-func (c *Cache[V]) shardFor(key string) *shard[V] {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	n := len(key)
-	if n > 16 {
-		n = 16
-	}
-	for i := 0; i < n; i++ {
-		h ^= uint32(key[i])
-		h *= prime32
-	}
-	return c.shards[h&c.mask]
 }
 
 // Get returns the value for key, computing it with compute on a miss.
@@ -213,24 +131,23 @@ func (c *Cache[V]) shardFor(key string) *shard[V] {
 // cached. The returned value is shared with the cache: callers must treat
 // it as immutable (wrap Get if a defensive copy is needed).
 func (c *Cache[V]) Get(key string, compute func() (V, error)) (V, error) {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	if el, ok := s.entries[key]; ok {
-		s.lru.MoveToFront(el)
-		s.stats.Hits++
+	c.mu.Lock()
+	if el, ok := c.entries[key]; ok {
+		c.lru.MoveToFront(el)
+		c.stats.Hits++
 		v := el.Value.(*entry[V]).val
-		s.mu.Unlock()
+		c.mu.Unlock()
 		return v, nil
 	}
-	if f, ok := s.flights[key]; ok {
-		s.stats.Coalesced++
-		s.mu.Unlock()
+	if f, ok := c.flights[key]; ok {
+		c.stats.Coalesced++
+		c.mu.Unlock()
 		<-f.done
 		return f.val, f.err
 	}
 	f := &flight[V]{done: make(chan struct{})}
-	s.flights[key] = f
-	s.mu.Unlock()
+	c.flights[key] = f
+	c.mu.Unlock()
 
 	// Behind memory: disk, then compute. A fresh computation is written
 	// to disk (when enabled).
@@ -243,31 +160,21 @@ func (c *Cache[V]) Get(key string, compute func() (V, error)) (V, error) {
 		}
 	}
 
-	s.mu.Lock()
+	c.mu.Lock()
 	if fromDisk {
-		s.stats.DiskHits++
+		c.stats.DiskHits++
 	} else {
-		s.stats.Misses++
+		c.stats.Misses++
 	}
 	if err == nil {
-		s.insertLocked(key, v)
+		c.insertLocked(key, v)
 	}
-	delete(s.flights, key)
-	s.mu.Unlock()
+	delete(c.flights, key)
+	c.mu.Unlock()
 
 	f.val, f.err = v, err
 	close(f.done)
 	return v, err
-}
-
-// Peek reports whether key is resident in memory, without touching LRU
-// order or counters.
-func (c *Cache[V]) Peek(key string) bool {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.entries[key]
-	return ok
 }
 
 // Bypass records one lookup that deliberately skipped the cache in both
@@ -276,67 +183,60 @@ func (c *Cache[V]) Peek(key string) bool {
 // report here so the counters still account for every lookup — bypassed
 // work must not masquerade as misses.
 func (c *Cache[V]) Bypass() {
-	s := c.shards[0]
-	s.mu.Lock()
-	s.stats.Bypassed++
-	s.mu.Unlock()
+	c.mu.Lock()
+	c.stats.Bypassed++
+	c.mu.Unlock()
 }
 
-// Stats returns a snapshot of the counters, summed across shards.
+// Stats returns a snapshot of the counters.
 func (c *Cache[V]) Stats() Stats {
-	var out Stats
-	for _, s := range c.shards {
-		s.mu.Lock()
-		snap := s.stats
-		snap.Entries = len(s.entries)
-		s.mu.Unlock()
-		out.add(snap)
-	}
-	return out
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	s := c.stats
+	s.Entries = len(c.entries)
+	return s
 }
 
 // Reset drops every in-memory entry and zeroes the counters. In-flight
 // computations are unaffected (they complete and insert into the fresh
 // table). The disk layer is not touched.
 func (c *Cache[V]) Reset() {
-	for _, s := range c.shards {
-		s.mu.Lock()
-		s.entries = make(map[string]*list.Element)
-		s.lru.Init()
-		s.stats = Stats{}
-		s.mu.Unlock()
-	}
+	c.mu.Lock()
+	c.entries = make(map[string]*list.Element)
+	c.lru.Init()
+	c.stats = Stats{}
+	c.mu.Unlock()
 }
 
-func (s *shard[V]) insertLocked(key string, v V) {
-	if el, ok := s.entries[key]; ok {
+func (c *Cache[V]) insertLocked(key string, v V) {
+	if el, ok := c.entries[key]; ok {
 		// A concurrent flight (e.g. after Reset) already reinserted.
 		el.Value.(*entry[V]).val = v
-		s.lru.MoveToFront(el)
+		c.lru.MoveToFront(el)
 		return
 	}
-	s.entries[key] = s.lru.PushFront(&entry[V]{key: key, val: v})
-	for s.lru.Len() > s.capacity {
-		oldest := s.lru.Back()
-		s.lru.Remove(oldest)
-		delete(s.entries, oldest.Value.(*entry[V]).key)
-		s.stats.Evictions++
+	c.entries[key] = c.lru.PushFront(&entry[V]{key: key, val: v})
+	for c.lru.Len() > c.capacity {
+		oldest := c.lru.Back()
+		c.lru.Remove(oldest)
+		delete(c.entries, oldest.Value.(*entry[V]).key)
+		c.stats.Evictions++
 	}
 }
 
 // SetDir enables (or, with "", disables) the on-disk layer on a live
 // cache; in-memory contents and counters are preserved.
 func (c *Cache[V]) SetDir(dir string) {
-	c.dirMu.Lock()
+	c.mu.Lock()
 	c.dir = dir
-	c.dirMu.Unlock()
+	c.mu.Unlock()
 }
 
-// getDir reads the disk directory under its lock: SetDir can flip it
+// getDir reads the disk directory under the lock: SetDir can flip it
 // on a live cache while flights are reading it.
 func (c *Cache[V]) getDir() string {
-	c.dirMu.Lock()
-	defer c.dirMu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return c.dir
 }
 

@@ -74,15 +74,19 @@ func TestLRUEviction(t *testing.T) {
 	mustGet(t, c, "c", compute(3)) // evicts b
 	wantStats(t, c, Stats{Hits: 1, Misses: 3, Evictions: 1, Entries: 2})
 
-	if !c.Peek("a") || !c.Peek("c") || c.Peek("b") {
-		t.Fatalf("want {a,c} resident and b evicted; got a=%v b=%v c=%v",
-			c.Peek("a"), c.Peek("b"), c.Peek("c"))
+	// A resident key answers a Get whose compute fails; the victim runs
+	// it, and the failure is not cached.
+	notResident := errors.New("not resident")
+	fail := func() (int, error) { return 0, notResident }
+	for _, k := range []string{"a", "c"} {
+		if _, err := c.Get(k, fail); err != nil {
+			t.Fatalf("%s: %v, want it resident", k, err)
+		}
 	}
-	// Re-requesting the victim recomputes.
-	calls := 0
-	if v := mustGet(t, c, "b", func() (int, error) { calls++; return 2, nil }); v != 2 || calls != 1 {
-		t.Fatalf("evicted key: v=%d calls=%d, want recompute", v, calls)
+	if _, err := c.Get("b", fail); !errors.Is(err, notResident) {
+		t.Fatalf("b: err = %v, want it evicted", err)
 	}
+	wantStats(t, c, Stats{Hits: 3, Misses: 4, Evictions: 1, Entries: 2})
 }
 
 // TestSingleflightCoalescing gates one slow computation while N waiters
@@ -153,8 +157,8 @@ func TestErrorsNotCached(t *testing.T) {
 	if _, err := c.Get("k", func() (int, error) { calls++; return 0, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
-	if c.Peek("k") {
-		t.Fatal("errored entry must not be cached")
+	if s := c.Stats(); s.Entries != 0 {
+		t.Fatalf("errored entry must not be cached: %+v", s)
 	}
 	if v, err := c.Get("k", func() (int, error) { calls++; return 5, nil }); err != nil || v != 5 {
 		t.Fatalf("retry: v=%d err=%v", v, err)
@@ -163,6 +167,84 @@ func TestErrorsNotCached(t *testing.T) {
 		t.Fatalf("compute ran %d times, want 2", calls)
 	}
 	wantStats(t, c, Stats{Misses: 2, Entries: 1})
+}
+
+// TestConcurrentCounterInvariant runs concurrent Gets and checks the
+// exactly-one-counter-per-Get invariant: Hits + DiskHits + Coalesced +
+// Misses equals the number of Get calls, with one miss per distinct key.
+func TestConcurrentCounterInvariant(t *testing.T) {
+	const (
+		workers = 8
+		keys    = 100
+		rounds  = 5
+	)
+	c := New[int](Options{})
+	keyset := make([]string, keys)
+	for i := range keyset {
+		k, err := Key("invariant", i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keyset[i] = k
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for i, k := range keyset {
+					if v, err := c.Get(k, func() (int, error) { return i, nil }); err != nil || v != i {
+						t.Errorf("Get(%d) = %d, %v", i, v, err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	s := c.Stats()
+	if total, want := s.Hits+s.DiskHits+s.Coalesced+s.Misses, int64(workers*rounds*keys); total != want {
+		t.Errorf("counters account for %d Gets, want %d (stats %+v)", total, want, s)
+	}
+	if s.Misses != keys {
+		t.Errorf("%d misses for %d distinct keys (coalesced %d)", s.Misses, keys, s.Coalesced)
+	}
+	if s.Entries != keys || s.Evictions != 0 {
+		t.Errorf("unexpected occupancy: %+v", s)
+	}
+}
+
+// TestConcurrentEvictionBound: Capacity is an exact bound. Workers insert
+// ten times as many distinct keys as fit; the cache ends full, and every
+// other insert was evicted.
+func TestConcurrentEvictionBound(t *testing.T) {
+	const (
+		capacity = 64
+		workers  = 4
+		perW     = 10 * capacity / workers
+	)
+	c := New[int](Options{Capacity: capacity})
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w * perW; i < (w+1)*perW; i++ {
+				k, err := Key("evict", i)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := c.Get(k, func() (int, error) { return i, nil }); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	wantStats(t, c, Stats{Misses: 10 * capacity, Evictions: 9 * capacity, Entries: capacity})
 }
 
 func TestDiskLayerRoundTrip(t *testing.T) {
